@@ -2,9 +2,22 @@
 
 Graded Betti numbers are read off reduced homology of the subcomplex of
 the full generator simplex whose lcm labels strictly divide a fixed lcm
-value; a second route through order complexes of open lcm intervals is
-kept for cross-checking.  Ranks are computed exactly: bitsets over GF(2)
-and fraction-free integer elimination for the rationals.  No floats.
+value m.  Each such subcomplex is first collapsed by sequential element
+matchings: for each support vertex v in index order, a surviving face F
+is paired with F + v when both survive.  A sequence of element matchings
+is acyclic (Jonsson, *Simplicial Complexes of Graphs*), so the survivors
+are the cells of a Morse complex with the same homology.  The first
+matching is applied while enumerating, so the faces it pairs are never
+built.  When every survivor has one cardinality k the Morse complex has
+zero differentials and H~_{k-1} is the number of survivors over every
+field; otherwise the full face list goes through the rank route below.
+The matchings use only the generators' divisibility, nothing of the pair
+complex or its matching in `morse`, so the oracle stays independent of
+the counts it checks.
+
+A second route through order complexes of open lcm intervals is kept
+for cross-checking.  Ranks are computed exactly: bitsets over GF(2) and
+fraction-free integer elimination for the rationals.  No floats.
 """
 
 from __future__ import annotations
@@ -21,6 +34,7 @@ from .monomials import (
     level_masks,
     mask_divides,
     mask_lcm,
+    packed_masks,
 )
 from .complexes import SimplicialComplex
 
@@ -236,37 +250,96 @@ def _validate_ideal(ideal: MonomialIdeal, cap: int) -> None:
         )
 
 
+def _packed_to_monomial(mask: int, ideal: MonomialIdeal) -> Monomial:
+    n = len(ideal.ring)
+    exps = [0] * n
+    while mask:
+        low = mask & -mask
+        exps[(low.bit_length() - 1) % n] += 1
+        mask ^= low
+    return Monomial(ideal.ring, exps)
+
+
+def _lattice(gmasks: Sequence[int]) -> set[int]:
+    """Packed lcms of all generator subsets, the empty one (0) included."""
+    lattice = {0}
+    for g in gmasks:
+        lattice |= {m | g for m in lattice}
+    return lattice
+
+
+def _subcomplex_faces(m: int, gmasks: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every face of the strict-divisor subcomplex at m, as sorted tuples
+    of generator indices."""
+    support = [k for k, g in enumerate(gmasks) if not g & ~m]
+    faces = []
+    stack = [((), 0, 0)]
+    while stack:
+        face, lcm, start = stack.pop()
+        faces.append(face)
+        for t in range(start, len(support)):
+            nlcm = lcm | gmasks[support[t]]
+            if nlcm != m:
+                stack.append((face + (support[t],), nlcm, t + 1))
+    return faces
+
+
+def _critical_faces(m: int, gmasks: Sequence[int]) -> list[int]:
+    """Faces of the strict-divisor subcomplex at m, as bitmasks of
+    generator indices, left unmatched by the element matchings of its
+    support vertices in index order.
+
+    No face containing the first support vertex v0 survives its matching,
+    and F not containing v0 survives it iff lcm(F) != m = lcm(F + v0), so
+    only those F are enumerated.  Each later vertex v then removes the
+    survivors F for which F ^ v also survives.
+    """
+    support = [k for k, g in enumerate(gmasks) if not g & ~m]
+    v0, rest = support[0], support[1:]
+    need = m & ~gmasks[v0]
+    # reach[t] is the lcm of rest[t:]: all that extending from there can add
+    reach = [0] * (len(rest) + 1)
+    for t in range(len(rest) - 1, -1, -1):
+        reach[t] = reach[t + 1] | gmasks[rest[t]]
+    critical = []
+    stack = [(0, 0, 0)]
+    while stack:
+        face, lcm, start = stack.pop()
+        if not need & ~lcm:
+            critical.append(face)
+        for t in range(start, len(rest)):
+            if need & ~(lcm | reach[t]):
+                break
+            nlcm = lcm | gmasks[rest[t]]
+            if nlcm != m:
+                stack.append((face | 1 << rest[t], nlcm, t + 1))
+    for v in rest:
+        alive = set(critical)
+        critical = [f for f in critical if f ^ 1 << v not in alive]
+    return critical
+
+
 @lru_cache(maxsize=64)
 def graded_betti(
     ideal: MonomialIdeal, field: str = GF2, cap: int = DEFAULT_GENERATOR_CAP
 ) -> BettiTable:
     """Graded Betti numbers from homology of strict-divisor subcomplexes
-    of the generator simplex, one per lcm-lattice element."""
+    of the generator simplex, one per lcm-lattice element, each collapsed
+    by element matchings before any rank is taken."""
     field = normalize_field(field)
     _validate_ideal(ideal, cap)
-    _, gmasks = level_masks(list(ideal.generators))
-    g = ideal.q
+    gmasks = packed_masks(ideal.generators)
     entries = []
-    for m_levels in _lattice_levels(gmasks):
-        if not any(m_levels):
-            continue
-        support = [k for k in range(g) if mask_divides(gmasks[k], m_levels)]
-        faces = []
-        stack = [((), (0,) * len(m_levels), 0)]
-        while stack:
-            face, lcm, start = stack.pop()
-            faces.append(face)
-            for t in range(start, len(support)):
-                nlcm = mask_lcm(lcm, gmasks[support[t]])
-                if nlcm != m_levels:
-                    stack.append((face + (support[t],), nlcm, t + 1))
-        dims = homology_dims(faces, field)
-        monomial = _levels_to_monomial(m_levels, ideal)
-        for i, v in enumerate(dims):
-            if v:
-                entries.append((i, monomial, v))
+    for m in _lattice(gmasks) - {0}:
+        critical = _critical_faces(m, gmasks)
+        sizes = {f.bit_count() for f in critical}
+        if len(sizes) > 1:
+            dims = enumerate(homology_dims(_subcomplex_faces(m, gmasks), field))
+        else:
+            dims = ((k, len(critical)) for k in sizes)
+        entries.extend((i, _packed_to_monomial(m, ideal), v) for i, v in dims if v)
     entries.sort(key=lambda e: (e[0], e[1].degree, e[1].exponents))
-    return BettiTable(field, g, tuple(entries))
+    return BettiTable(field, ideal.q, tuple(entries))
 
 
 def graded_betti_via_interval(

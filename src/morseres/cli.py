@@ -15,6 +15,7 @@ from . import betti as betti_mod
 from . import morse as morse_mod
 from . import relations as rel_mod
 from .complexes import LabeledComplex, SimplicialComplex, l2, taylor
+from .errors import InvariantViolation
 from .extremal import extremal_generators, power_generators, single_relation
 from .monomials import MonomialIdeal, VariableSet
 from .sampling import random_ideals
@@ -332,7 +333,7 @@ def suite_cell_order() -> list[dict]:
         try:
             morse_mod.morse_complex(q, s, with_order=True, cross_check=True)
             ok = True
-        except AssertionError:
+        except InvariantViolation:
             ok = False
         checks.append(_check(f"cell order closed form q={q} s={s}", ok, True))
     return checks
@@ -500,8 +501,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Exit status 0 on success, 1 when a check
+    fails, 2 on bad input (argparse errors, unreadable or malformed
+    files, out-of-range parameters); `InvariantViolation` propagates."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"morseres: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

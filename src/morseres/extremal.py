@@ -11,7 +11,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import CapacityError, InvariantViolation
-from .monomials import Monomial, MonomialIdeal, VariableSet, degree_vectors
+from .monomials import Monomial, MonomialIdeal, VariableSet
 
 MAX_Q = 16
 
@@ -104,8 +104,3 @@ def single_relation(s: int) -> tuple[tuple[int, frozenset[int]], ...]:
     if s < 3:
         raise ValueError("s must be >= 3")
     return ((1, frozenset(range(2, s + 1))),)
-
-
-def exponent_vectors(q: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """Degree-r exponent vectors in the canonical generator order."""
-    return degree_vectors(q, r)

@@ -273,6 +273,15 @@ class MonomialIdeal:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MonomialIdeal":
+        """Inverse of :meth:`to_dict`; a missing ``"schema"`` reads as 1."""
+        if not isinstance(data, dict):
+            raise ValueError("an ideal must be a JSON object")
+        schema = data.get("schema", 1)
+        if schema != 1:
+            raise ValueError(f"unsupported ideal schema {schema!r} (expected 1)")
+        missing = [k for k in ("variables", "generators") if k not in data]
+        if missing:
+            raise ValueError(f"ideal is missing {', '.join(map(repr, missing))}")
         ring = VariableSet(data["variables"])
         return cls(ring, [ring.parse(g) for g in data["generators"]])
 
@@ -308,6 +317,23 @@ def level_masks(monomials: Sequence[Monomial]) -> tuple[int, list[tuple[int, ...
             levels.append(bits)
         packed.append(tuple(levels))
     return height, packed
+
+
+def packed_masks(monomials: Sequence[Monomial]) -> list[int]:
+    """The level masks of :func:`level_masks` packed into one int per
+    monomial: bit ``t*n + v`` is set iff the exponent of variable v
+    exceeds t, for n variables.  lcm is then ``a | b`` and divisibility
+    ``a & ~b == 0``.
+    """
+    packed = []
+    for m in monomials:
+        n = len(m.exponents)
+        bits = 0
+        for v, e in enumerate(m.exponents):
+            for t in range(e):
+                bits |= 1 << (t * n + v)
+        packed.append(bits)
+    return packed
 
 
 def mask_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from .complexes import LabeledComplex, SimplicialComplex, l2, taylor
-from .errors import CapacityError
+from .errors import CapacityError, InvariantViolation
 
 
 @dataclass(frozen=True)
@@ -439,7 +439,7 @@ def morse_complex(
                     reached = _reachable_lower(Y, matching, tau) & lower
                     closed = {s_ for s_ in cells[d - 1] if (s_, tau) in pairs}
                     if reached != closed:
-                        raise AssertionError(
+                        raise InvariantViolation(
                             f"cell order mismatch at q={q}, s={s}, tau={tau:b}"
                         )
         order = frozenset(pairs)

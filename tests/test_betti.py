@@ -1,8 +1,11 @@
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from morseres.betti import (
+    _critical_faces,
+    _lattice,
     exact_rank,
     gf2_rank,
     graded_betti,
@@ -17,7 +20,8 @@ from morseres.betti import (
 from morseres.complexes import SimplicialComplex
 from morseres.errors import CapacityError, NonMinimalIdealError
 from morseres.extremal import extremal_generators, power_generators, single_relation
-from morseres.monomials import MonomialIdeal, VariableSet
+from morseres.monomials import MonomialIdeal, VariableSet, lcm_of, packed_masks
+from morseres.morse import critical_counts
 from morseres.sampling import random_ideals
 
 R1 = VariableSet("abcdefg")
@@ -198,3 +202,60 @@ def test_pd_formula_matches_oracle_small():
             square = power_generators(q, single_relation(s), 2)
             assert projective_dimension(ideal) == first
             assert projective_dimension(square) == second
+
+
+def rank_route_entries(ideal, field):
+    """Graded Betti entries by ranks on every face of every strict-divisor
+    subcomplex, with lcms taken on monomials rather than masks."""
+    q = ideal.q
+    lcms = {
+        face: lcm_of((ideal.generators[k] for k in face), ideal.ring)
+        for r in range(q + 1)
+        for face in combinations(range(q), r)
+    }
+    entries = []
+    for m in set(lcms.values()) - {ideal.ring.one()}:
+        faces = [face for face, l in lcms.items() if l != m and l.divides(m)]
+        entries.extend((i, m, v) for i, v in enumerate(homology_dims(faces, field)) if v)
+    entries.sort(key=lambda e: (e[0], e[1].degree, e[1].exponents))
+    return tuple(entries)
+
+
+def test_collapse_falls_back_when_critical_faces_span_two_cardinalities():
+    ring = VariableSet("abcdef")
+    ideal = MonomialIdeal(ring, [ring.parse(t) for t in ("cdf", "bdf", "abcd", "adf")])
+    gmasks = packed_masks(ideal.generators)
+    mixed = [
+        m
+        for m in _lattice(gmasks) - {0}
+        if len({f.bit_count() for f in _critical_faces(m, gmasks)}) > 1
+    ]
+    assert mixed
+    for field in ("gf2", "rational"):
+        entries = graded_betti(ideal, field).entries
+        assert entries == rank_route_entries(ideal, field)
+        assert entries == graded_betti_via_interval(ideal, field).entries
+
+
+def test_collapse_matches_rank_route_on_random_ideals_and_squares():
+    # draws 18 and 19 need the rank fallback at some lattice elements
+    cases = list(random_ideals(20, q=4, s=3, seed=11))
+    for ideal in cases[:2] + cases[18:]:
+        for case in (ideal, ideal.power(2).minimalize()):
+            for field in ("gf2", "rational"):
+                assert graded_betti(case, field).entries == rank_route_entries(case, field), case
+
+
+@pytest.mark.parametrize("s", [3, 4, 5])
+@pytest.mark.parametrize("field", ["gf2", "rational"])
+def test_extremal_square_q5_matches_cell_counts(s, field):
+    table = graded_betti(power_generators(5, single_relation(s), 2), field)
+    assert table.total() == critical_counts(5, s)
+    assert table.projective_dimension == pd_formula(5, s)[1]
+
+
+@pytest.mark.parametrize("s", [3, 4, 5])
+def test_extremal_square_q5_needs_no_rank_fallback(s):
+    gmasks = packed_masks(power_generators(5, single_relation(s), 2).generators)
+    for m in _lattice(gmasks) - {0}:
+        assert len({f.bit_count() for f in _critical_faces(m, gmasks)}) <= 1

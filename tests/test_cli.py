@@ -165,3 +165,31 @@ def test_failing_check_reports_and_exits_nonzero(capsys, monkeypatch):
 def test_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "nope"])
+
+
+def test_capacity_error_exits_2_without_traceback(capsys):
+    assert main(["morse", "--q", "7", "--s", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("morseres: error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_betti_on_file_without_generators_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": 1, "variables": ["x", "y"]}))
+    assert main(["betti", "--ideal", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("morseres: error: ")
+    assert "generators" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cell_order_mismatch_is_an_invariant_violation(monkeypatch):
+    from morseres import cli, morse
+    from morseres.errors import InvariantViolation
+
+    monkeypatch.setattr(morse, "cell_order_closed_form", lambda q, s, sigma, tau: False)
+    with pytest.raises(InvariantViolation, match="cell order mismatch"):
+        morse.morse_complex(3, 3, with_order=True, cross_check=True)
+    assert not all(c["ok"] for c in cli.suite_cell_order())

@@ -12,6 +12,7 @@ from morseres.monomials import (
     level_masks,
     mask_divides,
     mask_lcm,
+    packed_masks,
 )
 
 RING = VariableSet("abcdefg")
@@ -164,3 +165,26 @@ def test_level_masks_agree_with_monomials():
                 sum(lv >> v & 1 for lv in joined) for v in range(len(RING))
             )
             assert exps == a.lcm(b).exponents
+
+
+def test_packed_masks_agree_with_monomials():
+    ms = [m("a^2b"), m("bc"), m("ac^2d"), m("1")]
+    packed = packed_masks(ms)
+    for a, pa in zip(ms, packed):
+        for b, pb in zip(ms, packed):
+            assert (pa & ~pb == 0) == a.divides(b)
+            assert pa | pb == packed_masks([a.lcm(b)])[0]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"schema": 99, "variables": ["a"], "generators": ["a"]}, "schema"),
+        ({"schema": 1, "generators": ["a"]}, "variables"),
+        ({"schema": 1, "variables": ["a"]}, "generators"),
+        (["a"], "JSON object"),
+    ],
+)
+def test_ideal_from_dict_rejects_bad_documents(data, message):
+    with pytest.raises(ValueError, match=message):
+        MonomialIdeal.from_dict(data)
