@@ -6,6 +6,8 @@ generators, and verifies the resulting cell counts, Betti numbers and
 projective dimensions against an independent homology oracle.
 """
 
+from types import ModuleType as _ModuleType
+
 from .monomials import (
     Monomial,
     MonomialIdeal,
@@ -60,6 +62,10 @@ from .betti import (
 )
 from .sampling import random_ideals, random_squarefree_ideal
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]
 
 __version__ = "0.1.0"

@@ -28,6 +28,7 @@ from math import comb, gcd
 from typing import Sequence
 
 from .errors import CapacityError, NonMinimalIdealError
+from .extremal import check_qs
 from .monomials import (
     Monomial,
     MonomialIdeal,
@@ -399,8 +400,7 @@ def pd_formula(q: int, s: int) -> tuple[int, int]:
     """Projective dimensions of the extremal ideal and of its square for
     one relation (1, {2..s}): (q - 2, C(q,2) - (q - s + 2)) and when
     q = s the second entry is C(q,2) - 1."""
-    if not 3 <= s <= q:
-        raise ValueError(f"need 3 <= s <= q (got q={q}, s={s})")
+    check_qs(q, s)
     first = q - 2
     second = comb(q, 2) - (q - s + 2) if q > s else comb(q, 2) - 1
     return first, second

@@ -6,7 +6,7 @@ Faces are plain integers: bitmasks over the complex's vertex list.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .monomials import Monomial, MonomialIdeal, lcm_of
@@ -15,6 +15,16 @@ from .monomials import Monomial, MonomialIdeal, lcm_of
 def n2_pairs(q: int) -> tuple[tuple[int, int], ...]:
     """Multiset pairs (i, j) with 1 <= i <= j <= q in lexicographic order."""
     return tuple((i, j) for i in range(1, q + 1) for j in range(i, q + 1))
+
+
+def submasks(mask: int) -> Iterator[int]:
+    """Every subset of ``mask``, from ``mask`` itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
 
 
 class SimplicialComplex:
@@ -66,24 +76,18 @@ class SimplicialComplex:
     def _face_list(self) -> tuple[int, ...]:
         seen = set()
         for facet in self.facets:
-            bits = [1 << k for k in range(facet.bit_length()) if facet >> k & 1]
-            n = len(bits)
-            for sub in range(1 << n):
-                m = 0
-                for t in range(n):
-                    if sub >> t & 1:
-                        m |= bits[t]
-                seen.add(m)
-        return tuple(sorted(seen, key=lambda x: (x.bit_count(), x)))
+            seen.update(submasks(facet))
+        faces = sorted(seen)
+        faces.sort(key=int.bit_count)
+        return tuple(faces)
 
     def faces(self, card: int | None = None, include_empty: bool = False) -> Iterator[int]:
         """Yield each face exactly once, ordered by (cardinality, mask)."""
-        for m in self._face_list:
-            if m == 0 and not include_empty:
-                continue
-            if card is not None and m.bit_count() != card:
-                continue
-            yield m
+        faces = self._face_list if include_empty else filter(None, self._face_list)
+        if card is None:
+            yield from faces
+        else:
+            yield from (m for m in faces if m.bit_count() == card)
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, f_1, ..., f_{d+1}) with f_0 = 1 for the empty face."""
@@ -108,6 +112,7 @@ def taylor(q: int) -> SimplicialComplex:
     return SimplicialComplex(verts, [verts])
 
 
+@lru_cache(maxsize=32)
 def l2(q: int) -> SimplicialComplex:
     """Complex on the pair vertices (i, j), i <= j, supporting resolutions
     of second powers of square-free ideals on q generators.
@@ -115,6 +120,9 @@ def l2(q: int) -> SimplicialComplex:
     Facets: the block of all square-free pairs {(i, j) : i < j} and, for
     each i, the star {(i, j) : j in 1..q}.  For q <= 2 normalization
     leaves only the stars.
+
+    Memoized: every call with the same q returns one shared instance, so
+    its face list is built once per process.  Callers must not mutate it.
     """
     if q < 1:
         raise ValueError("q must be >= 1")

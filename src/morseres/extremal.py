@@ -104,3 +104,10 @@ def single_relation(s: int) -> tuple[tuple[int, frozenset[int]], ...]:
     if s < 3:
         raise ValueError("s must be >= 3")
     return ((1, frozenset(range(2, s + 1))),)
+
+
+def check_qs(q: int, s: int) -> None:
+    """Reject (q, s) unless 3 <= s <= q, the range in which the relation
+    (1, {2..s}) on q generators is studied."""
+    if not 3 <= s <= q:
+        raise ValueError(f"need 3 <= s <= q (got q={q}, s={s})")

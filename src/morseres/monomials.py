@@ -61,31 +61,44 @@ class VariableSet:
     def parse(self, text: str) -> "Monomial":
         """Parse juxtaposed variable names with optional ``^k`` exponents.
 
-        Names are matched greedily (longest first), so subset-indexed
-        names such as ``y_{12}`` and ``y_{123}`` coexist.  ``1`` denotes
-        the empty product.
+        Every split of the text into names is considered, so names that
+        are prefixes of one another (``y_{12}`` and ``y_{123}``, or
+        ``a``, ``ab`` and ``bc``) coexist.  ``1`` denotes the empty
+        product.  Text with no reading, or with more than one, raises
+        ``ValueError``.
         """
         s = re.sub(r"[\s*·]+", "", text)
         if s in ("", "1"):
             return self.one()
-        by_length = sorted(self.names, key=len, reverse=True)
+        # readings[pos]: number of readings of s[pos:], capped at 2;
+        # first[pos]: (name, exponent, end) of one of them
+        exponent = re.compile(r"\^(\d+)")
+        n = len(s)
+        readings = [0] * n + [1]
+        first: list[tuple[str, int, int] | None] = [None] * (n + 1)
+        for pos in range(n - 1, -1, -1):
+            for name in self.names:
+                if not s.startswith(name, pos):
+                    continue
+                end = pos + len(name)
+                k = 1
+                m = exponent.match(s, end)
+                if m:
+                    k, end = int(m.group(1)), m.end()
+                elif s.startswith("^", end):
+                    continue
+                if readings[end]:
+                    readings[pos] = min(2, readings[pos] + readings[end])
+                    first[pos] = first[pos] or (name, k, end)
+        if readings[0] == 0:
+            raise ValueError(f"cannot read {text!r} as a product of {list(self.names)}")
+        if readings[0] > 1:
+            raise ValueError(f"{text!r} has more than one reading over {list(self.names)}")
         exps = [0] * len(self.names)
         pos = 0
-        while pos < len(s):
-            for name in by_length:
-                if s.startswith(name, pos):
-                    pos += len(name)
-                    k = 1
-                    if pos < len(s) and s[pos] == "^":
-                        m = re.match(r"\^(\d+)", s[pos:])
-                        if not m:
-                            raise ValueError(f"malformed exponent at {s[pos:]!r}")
-                        k = int(m.group(1))
-                        pos += m.end()
-                    exps[self._index[name]] += k
-                    break
-            else:
-                raise ValueError(f"cannot match a variable at {s[pos:]!r}")
+        while pos < n:
+            name, k, pos = first[pos]
+            exps[self._index[name]] += k
         return Monomial(self, exps)
 
 

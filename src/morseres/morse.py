@@ -12,10 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterable, Mapping
 
-from .complexes import LabeledComplex, SimplicialComplex, l2, taylor
+from .complexes import LabeledComplex, SimplicialComplex, l2, submasks, taylor
 from .errors import CapacityError, InvariantViolation
+from .extremal import check_qs
 
 
 @dataclass(frozen=True)
@@ -43,14 +45,11 @@ class Matching:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        seen = set()
-        for big, small in self.pairs:
-            if small & big != small or big.bit_count() != small.bit_count() + 1:
-                raise ValueError("matched edge must drop exactly one vertex")
-            if big in seen or small in seen:
-                raise ValueError("a face occurs in more than one matched edge")
-            seen.add(big)
-            seen.add(small)
+        if any(small & big != small or (big ^ small).bit_count() != 1
+               for big, small in self.pairs):
+            raise ValueError("matched edge must drop exactly one vertex")
+        if len(set(chain.from_iterable(self.pairs))) != 2 * len(self.pairs):
+            raise ValueError("a face occurs in more than one matched edge")
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -72,93 +71,113 @@ class Matching:
         return frozenset(out)
 
 
+def _containment_table(parts: list[int], width: int) -> list[int]:
+    """Entry x (a ``width``-bit mask) has bit i set when parts[i] lies in x."""
+    table = [0] * (1 << width)
+    for i, part in enumerate(parts):
+        table[part] |= 1 << i
+    for b in range(width):
+        bit = 1 << b
+        table = [t | table[x ^ bit] if x & bit else t for x, t in enumerate(table)]
+    return table
+
+
+def _buckets(faces: Iterable[int], spec: MatchingSpec) -> list[set[int]]:
+    """Bucket i + 1 holds the faces whose largest contained pivot is
+    order[i]; bucket 0 holds the faces that contain no pivot.
+
+    Two lookup tables, over the low and the high half of the pivots'
+    support, give the set of pivots inside a face as a bitmask over the
+    order, so its highest bit names the largest pivot.
+    """
+    order = spec.order
+    span = 0
+    for sigma in order:
+        span |= sigma
+    width = span.bit_length()
+    h = width // 2
+    low, high = (1 << h) - 1, (1 << (width - h)) - 1
+    lo = _containment_table([sigma & low for sigma in order], h)
+    hi = _containment_table([sigma >> h for sigma in order], width - h)
+    buckets = [set() for _ in range(len(order) + 1)]
+    for gamma in faces:
+        buckets[(lo[gamma & low] & hi[gamma >> h & high]).bit_length()].add(gamma)
+    return buckets
+
+
 def _partition(faces: Iterable[int], spec: MatchingSpec) -> dict[int, set[int]]:
     """Group the faces that contain a pivot by the largest pivot they
-    contain (scanning the order from the top)."""
-    groups: dict[int, set[int]] = {}
-    rev = tuple(reversed(spec.order))
-    for gamma in faces:
-        for sigma in rev:
-            if sigma & gamma == sigma:
-                groups.setdefault(sigma, set()).add(gamma)
-                break
-    return groups
+    contain."""
+    buckets = _buckets(faces, spec)
+    return {sigma: members for sigma, members in zip(spec.order, buckets[1:]) if members}
 
 
 def build_matching(faces: Iterable[int], spec: MatchingSpec) -> Matching:
     """Within each group, match tau against tau minus the chosen vertex
     whenever both lie in the group."""
-    groups = _partition(faces, spec)
-    pairs = []
-    for sigma, members in groups.items():
+    down: dict[int, int] = {}
+    for sigma, members in _partition(faces, spec).items():
         vbit = 1 << spec.omega[sigma]
-        for tau in members:
-            if tau & vbit and tau ^ vbit in members:
-                pairs.append((tau, tau ^ vbit))
-    pairs.sort(key=lambda e: (e[0].bit_count(), e[0], e[1]))
-    return Matching(tuple(pairs))
+        down.update(
+            {tau: tau ^ vbit for tau in members if tau & vbit and tau ^ vbit in members}
+        )
+    bigs = sorted(down)
+    bigs.sort(key=int.bit_count)
+    return Matching(tuple((big, down[big]) for big in bigs))
 
 
 def critical_cells(faces: Iterable[int], spec: MatchingSpec) -> frozenset[int]:
     """Faces in no group, plus group members whose vertex-extension
     leaves the group."""
-    faces = set(faces)
-    groups = _partition(faces, spec)
-    critical = set(faces)
-    for sigma, members in groups.items():
+    loose, *groups = _buckets(faces, spec)
+    for sigma, members in zip(spec.order, groups):
         vbit = 1 << spec.omega[sigma]
-        for tau in members:
-            if tau | vbit in members:
-                critical.discard(tau)
-    return frozenset(critical)
+        loose.update([tau for tau in members if tau | vbit not in members])
+    return frozenset(loose)
 
 
 def is_acyclic(faces: Iterable[int], matching: Matching) -> bool:
     """No directed cycle after reversing the matched edges.
 
-    Cycles necessarily alternate between two adjacent cardinalities, so
-    the search runs per level on the bigger partners only.
+    A cycle climbs a reversed matched edge and then drops along an
+    inclusion, over and over, so it stays within two adjacent
+    cardinalities and passes through bigger partners only: big leads to
+    up[sub] for every facet sub of big that is a face, matched upward and
+    not big's own partner.  The search checks that digraph for a cycle.
     """
     Y = set(faces)
-    up = matching.up
-    down = matching.down
-    by_card: dict[int, list[int]] = {}
-    for big in down:
-        by_card.setdefault(big.bit_count(), []).append(big)
+    get = {small: big for big, small in matching.pairs if small in Y}.get
+    succ: dict[int, list[int]] = {}
+    for big, _ in matching.pairs:
+        out = []
+        m = big
+        while m:
+            low = m & -m
+            m ^= low
+            nxt = get(big ^ low)
+            if nxt is not None and nxt != big:
+                out.append(nxt)
+        succ[big] = out
 
-    for card, nodes in sorted(by_card.items()):
-        def successors(big):
-            partner = down[big]
-            m = big
-            while m:
-                low = m & -m
-                m ^= low
-                sub = big ^ low
-                if sub == partner or sub not in Y:
-                    continue
-                nxt = up.get(sub)
-                if nxt is not None:
-                    yield nxt
-
-        color: dict[int, int] = {}
-        for start in nodes:
-            if color.get(start):
-                continue
-            stack = [(start, successors(start))]
-            color[start] = 1
-            while stack:
-                node, it = stack[-1]
-                nxt = next(it, None)
-                if nxt is None:
-                    color[node] = 2
-                    stack.pop()
-                    continue
-                c = color.get(nxt, 0)
+    color = dict.fromkeys(succ, 0)
+    for start in succ:
+        if color[start]:
+            continue
+        color[start] = 1
+        stack = [(start, iter(succ[start]))]
+        while stack:
+            node, it = stack[-1]
+            for nxt in it:
+                c = color[nxt]
                 if c == 1:
                     return False
                 if c == 0:
                     color[nxt] = 1
-                    stack.append((nxt, successors(nxt)))
+                    stack.append((nxt, iter(succ[nxt])))
+                    break
+            else:
+                color[node] = 2
+                stack.pop()
     return True
 
 
@@ -174,11 +193,6 @@ def is_homogeneous(matching: Matching, labels: LabeledComplex) -> bool:
 
 def _p(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i <= j else (j, i)
-
-
-def _check_qs(q: int, s: int) -> None:
-    if not 3 <= s <= q:
-        raise ValueError(f"need 3 <= s <= q (got q={q}, s={s})")
 
 
 def _pivot_faces(q: int, s: int):
@@ -210,7 +224,7 @@ def matching_l2(
     seed is supplied; the critical set does not depend on the choice).
     The chosen vertex is always the pair (1, j) for the face's j.
     """
-    _check_qs(q, s)
+    check_qs(q, s)
     cx = l2(q)
     order = []
     omega = {}
@@ -240,28 +254,17 @@ def _regions(q: int, s: int):
 def critical_closed_form_l2(q: int, s: int) -> frozenset[int]:
     """Critical faces directly from their description: faces containing
     no type-1/type-2 pivot, plus the base-and-middle family."""
-    _check_qs(q, s)
+    check_qs(q, s)
     cx, base, mid, tail = _regions(q, s)
     type1, type2, _ = _pivot_faces(q, s)
     blockers = [cx.mask(pairs) for pairs, _ in type1 + type2]
 
-    critical = {
-        f for f in cx.faces() if not any(b & f == b for b in blockers)
-    }
-
-    mid_bits = [1 << k for k in range(mid.bit_length()) if mid >> k & 1]
-    tail_bits = [1 << k for k in range(tail.bit_length()) if tail >> k & 1]
-    for gsub in range(1, 1 << len(mid_bits)):
-        gmask = 0
-        for t, bit in enumerate(mid_bits):
-            if gsub >> t & 1:
-                gmask |= bit
-        for tsub in range(1 << len(tail_bits)):
-            tmask = 0
-            for t, bit in enumerate(tail_bits):
-                if tsub >> t & 1:
-                    tmask |= bit
-            critical.add(base | gmask | tmask)
+    survivors = list(cx.faces())
+    for b in blockers:
+        survivors = [f for f in survivors if b & f != b]
+    critical = set(survivors)
+    tails = list(submasks(tail))
+    critical.update(base | g | t for g in submasks(mid) if g for t in tails)
     return frozenset(critical)
 
 
@@ -289,7 +292,7 @@ class FirstPowerPrune:
 
 
 def prune_taylor_first_power(q: int, s: int) -> FirstPowerPrune:
-    _check_qs(q, s)
+    check_qs(q, s)
     tx = taylor(q)
     sigma = tx.mask(range(2, s + 1))
     spec = MatchingSpec(tx, (sigma,), {sigma: tx.vertex_bit(1)})
@@ -410,7 +413,7 @@ def morse_complex(
     """Cells of the pruned complex; the order relation is computed by the
     closed form (q <= 5 by default) and optionally cross-checked against
     gradient-path reachability."""
-    _check_qs(q, s)
+    check_qs(q, s)
     if q > 6:
         raise CapacityError(f"morse complex bounded at q <= 6 (got q={q})")
     critical = critical_closed_form_l2(q, s)

@@ -194,8 +194,8 @@ def square_relation_families(q: int, s: int | None = None) -> dict[str, frozense
     ideal satisfies (1, {2..s}).  Indices refer to the canonical order
     of pair generators.
     """
-    if s is not None and not 3 <= s <= q:
-        raise ValueError(f"s={s} outside 3..q={q}")
+    if s is not None:
+        extremal.check_qs(q, s)
     idx = _pair_index(q)
     fam: dict[str, set[DivRel]] = {k: set() for k in ("1", "2", "3a", "3b", "4a", "4b")}
 

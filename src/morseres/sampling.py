@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
+from .extremal import check_qs
 from .monomials import Monomial, MonomialIdeal, VariableSet, lcm_of
 
 LETTERS = "abcdefghijklmnop"
@@ -27,8 +28,7 @@ def random_squarefree_ideal(
     generators 2..s, and draws are rejected until the generating set is
     minimal.
     """
-    if not 3 <= s <= q:
-        raise ValueError(f"need 3 <= s <= q (got q={q}, s={s})")
+    check_qs(q, s)
     if num_vars > len(LETTERS):
         raise ValueError(f"at most {len(LETTERS)} variables supported")
     rng = rng if rng is not None else random.Random(seed)

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 from math import comb
 
@@ -259,3 +260,13 @@ def test_extremal_square_q5_needs_no_rank_fallback(s):
     gmasks = packed_masks(power_generators(5, single_relation(s), 2).generators)
     for m in _lattice(gmasks) - {0}:
         assert len({f.bit_count() for f in _critical_faces(m, gmasks)}) <= 1
+
+
+def test_extremal_square_q6_s3_matches_cell_counts_within_budget():
+    # 21 generators, above the default cap of 15; budget 60 s
+    start = time.perf_counter()
+    table = graded_betti(power_generators(6, single_relation(3), 2), "gf2", cap=21)
+    elapsed = time.perf_counter() - start
+    assert table.total() == critical_counts(6, 3)
+    assert table.projective_dimension == pd_formula(6, 3)[1]
+    assert elapsed < 60, f"runtime {elapsed:.1f}s exceeds budget 60s"

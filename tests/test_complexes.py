@@ -1,8 +1,20 @@
+import os
+import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
-from morseres.complexes import LabeledComplex, SimplicialComplex, l2, n2_pairs, taylor
+import morseres
+from morseres.complexes import (
+    LabeledComplex,
+    SimplicialComplex,
+    l2,
+    n2_pairs,
+    submasks,
+    taylor,
+)
 from morseres.extremal import power_generators, single_relation
 from morseres.monomials import MonomialIdeal, VariableSet
 
@@ -118,3 +130,58 @@ def test_labeled_complex_needs_one_generator_per_vertex():
     ring = VariableSet("ab")
     with pytest.raises(ValueError):
         LabeledComplex(l2(3), MonomialIdeal(ring, [ring.parse("a")]))
+
+
+def brute_force_faces(cx):
+    """Every subset of every facet, sorted by (cardinality, mask)."""
+    seen = set()
+    for facet in cx.facets:
+        bits = [1 << k for k in range(facet.bit_length()) if facet >> k & 1]
+        for r in range(len(bits) + 1):
+            for combo in combinations(bits, r):
+                seen.add(sum(combo))
+    return sorted(seen, key=lambda x: (x.bit_count(), x))
+
+
+def random_complexes(count, seed=5):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        facets = [[v for v in range(n) if rng.random() < 0.5] for _ in range(rng.randint(1, 5))]
+        yield SimplicialComplex(range(n), facets)
+
+
+def test_face_list_equals_brute_force_enumeration():
+    cases = [taylor(q) for q in range(1, 7)] + [l2(q) for q in range(1, 6)]
+    for cx in cases + list(random_complexes(12)):
+        expected = brute_force_faces(cx)
+        assert list(cx.faces(include_empty=True)) == expected
+        assert list(cx.faces()) == [f for f in expected if f]
+        for card in range(-1, len(cx.vertices) + 2):
+            for empty in (False, True):
+                assert list(cx.faces(card=card, include_empty=empty)) == [
+                    f for f in expected if f.bit_count() == card and (f or empty)
+                ]
+
+
+def test_submasks_walks_every_subset_once():
+    for mask in (0, 1, 0b1011, 0b110100):
+        got = list(submasks(mask))
+        assert len(got) == len(set(got)) == 2 ** mask.bit_count()
+        assert all(sub & mask == sub for sub in got)
+        assert got[0] == mask and got[-1] == 0
+
+
+def test_l2_is_memoized():
+    assert l2(4) is l2(4)
+    assert l2(4) is not l2(5)
+
+
+def test_import_leaves_l2_cache_empty():
+    root = os.path.dirname(os.path.dirname(morseres.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import morseres; print(morseres.complexes.l2.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "0"

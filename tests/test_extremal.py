@@ -2,16 +2,25 @@ from itertools import combinations
 
 import pytest
 
+from morseres.betti import pd_formula
 from morseres.errors import CapacityError
 from morseres.extremal import (
     admissible_subsets,
+    check_qs,
     extremal_generators,
     power_generators,
     single_relation,
     subset_name,
 )
 from morseres.monomials import lcm_of
-from morseres.relations import DivRel, minimal_relations, relation_holds
+from morseres.morse import matching_l2
+from morseres.relations import (
+    DivRel,
+    minimal_relations,
+    relation_holds,
+    square_relation_families,
+)
+from morseres.sampling import random_squarefree_ideal
 
 
 def test_admissible_subsets_one_relation():
@@ -138,3 +147,17 @@ def test_subset_name_rendering():
     assert subset_name({1, 3, 4}) == "y_{134}"
     assert subset_name({2}) == "y_{2}"
     assert subset_name({1, 12}) == "y_{1,12}"
+
+
+@pytest.mark.parametrize("q, s", [(4, 2), (3, 4), (2, 2), (5, 6)])
+def test_every_caller_rejects_s_outside_3_to_q(q, s):
+    for call in (check_qs, pd_formula, random_squarefree_ideal, matching_l2,
+                 square_relation_families):
+        with pytest.raises(ValueError, match="need 3 <= s <= q"):
+            call(q, s)
+
+
+def test_check_qs_accepts_the_range():
+    for q in range(3, 8):
+        for s in range(3, q + 1):
+            check_qs(q, s)

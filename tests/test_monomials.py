@@ -61,6 +61,51 @@ def test_parse_greedy_multicharacter_names():
     assert ring.parse(str(mono)) == mono
 
 
+def test_parse_backtracks_over_prefix_names():
+    ring = VariableSet(["a", "ab", "bc"])
+    assert ring.parse("abc") == ring.monomial([1, 0, 1])
+    assert ring.parse("ab^2bc") == ring.monomial([0, 2, 1])
+
+
+def test_parse_rejects_text_with_two_readings():
+    with pytest.raises(ValueError, match="more than one reading"):
+        VariableSet(["a", "b", "ab"]).parse("ab")
+
+
+def readings(text, names):
+    """Every split of text into names with optional ^k (brute force)."""
+    if not text:
+        return [[]]
+    out = []
+    for name in names:
+        if text.startswith(name):
+            rest, k = text[len(name):], 1
+            if rest.startswith("^"):
+                digits = len(rest) - len(rest[1:].lstrip("0123456789")) - 1
+                if not digits:
+                    continue
+                rest, k = rest[1 + digits:], int(rest[1:1 + digits])
+            out += [[(name, k)] + tail for tail in readings(rest, names)]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.text("ab", min_size=1, max_size=3), min_size=1, max_size=5, unique=True),
+    st.data(),
+)
+def test_str_parse_round_trip(names, data):
+    ring = VariableSet(names)
+    exps = data.draw(st.lists(st.integers(0, 3), min_size=len(names), max_size=len(names)))
+    mono = ring.monomial(exps)
+    text = str(mono)
+    if text == "1" or len(readings(text, names)) == 1:
+        assert ring.parse(text) == mono
+    else:
+        with pytest.raises(ValueError, match="more than one reading"):
+            ring.parse(text)
+
+
 def test_parse_rejects_unknown():
     with pytest.raises(ValueError):
         RING.parse("abz")

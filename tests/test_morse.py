@@ -1,8 +1,9 @@
+import random
 from math import comb
 
 import pytest
 
-from morseres.complexes import LabeledComplex, SimplicialComplex, l2
+from morseres.complexes import LabeledComplex, SimplicialComplex, l2, taylor
 from morseres.extremal import power_generators, single_relation
 from morseres.monomials import MonomialIdeal, VariableSet
 from morseres.morse import (
@@ -326,3 +327,68 @@ def test_morse_complex_order_skipped_for_large_q():
     mc = morse_complex(6, 3)
     assert mc.order is None
     assert sum(mc.counts()) == len(critical_closed_form_l2(6, 3))
+
+
+def naive_partition(faces, spec):
+    """Group by the largest contained pivot, scanning the order from the top."""
+    groups = {}
+    for gamma in faces:
+        for sigma in reversed(spec.order):
+            if sigma & gamma == sigma:
+                groups.setdefault(sigma, set()).add(gamma)
+                break
+    return groups
+
+
+def naive_matching_and_critical(faces, spec):
+    groups = naive_partition(faces, spec)
+    pairs, critical = [], set(faces)
+    for sigma, members in groups.items():
+        vbit = 1 << spec.omega[sigma]
+        for tau in members:
+            if tau & vbit and tau ^ vbit in members:
+                pairs.append((tau, tau ^ vbit))
+            if tau | vbit in members:
+                critical.discard(tau)
+    pairs.sort(key=lambda e: (e[0].bit_count(), e[0], e[1]))
+    return tuple(pairs), frozenset(critical)
+
+
+def random_specs(cx, count, seed):
+    """Random pivot orders on cx, each holding a pivot on the highest
+    vertex bit and a chosen vertex outside every pivot."""
+    rng = random.Random(seed)
+    n = len(cx.vertices)
+    top = 1 << (n - 1)
+    faces = [f for f in cx.faces() if f.bit_count() <= 3]
+    for _ in range(count):
+        order = rng.sample(faces, rng.randint(1, 8))
+        if not any(f & top for f in order):
+            order.append(rng.choice([f for f in faces if f & top]))
+        rng.shuffle(order)
+        omega = {}
+        for sigma in order:
+            omega[sigma] = rng.choice([v for v in range(n) if not sigma >> v & 1])
+        yield MatchingSpec(cx, tuple(order), omega)
+
+
+@pytest.mark.parametrize("cx", [taylor(5), l2(4)], ids=["taylor5", "l2_4"])
+def test_partition_equals_top_down_scan(cx):
+    faces = list(cx.faces())
+    rng = random.Random(7)
+    for spec in random_specs(cx, 25, seed=len(cx.vertices)):
+        assert _partition(faces, spec) == naive_partition(faces, spec)
+        subset = [f for f in faces if rng.random() < 0.4]
+        assert _partition(subset, spec) == naive_partition(subset, spec)
+
+
+@pytest.mark.parametrize("cx", [taylor(5), l2(4)], ids=["taylor5", "l2_4"])
+def test_engine_equals_reference_on_random_specs(cx):
+    faces = list(cx.faces())
+    rng = random.Random(8)
+    for spec in random_specs(cx, 25, seed=len(cx.vertices) + 1):
+        # also on face sets that are not closed under taking subsets
+        for chosen in (faces, [f for f in faces if rng.random() < 0.6]):
+            pairs, critical = naive_matching_and_critical(chosen, spec)
+            assert build_matching(chosen, spec).pairs == pairs
+            assert critical_cells(chosen, spec) == critical
