@@ -8,14 +8,7 @@ projective dimensions against an independent homology oracle.
 
 from types import ModuleType as _ModuleType
 
-from .monomials import (
-    Monomial,
-    MonomialIdeal,
-    VariableSet,
-    divides,
-    lcm_of,
-    product_of,
-)
+from .monomials import Monomial, MonomialIdeal, VariableSet, lcm_of
 from .complexes import LabeledComplex, SimplicialComplex, l2, n2_pairs, taylor
 from .extremal import (
     admissible_subsets,

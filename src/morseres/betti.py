@@ -29,14 +29,7 @@ from typing import Sequence
 
 from .errors import CapacityError, NonMinimalIdealError
 from .extremal import check_qs
-from .monomials import (
-    Monomial,
-    MonomialIdeal,
-    level_masks,
-    mask_divides,
-    mask_lcm,
-    packed_masks,
-)
+from .monomials import Monomial, MonomialIdeal, packed_masks, packed_to_monomial
 from .complexes import SimplicialComplex
 
 GF2 = "gf2"
@@ -156,55 +149,6 @@ def reduced_homology_dims(cx: SimplicialComplex, field: str = GF2) -> tuple[int,
 
 
 @dataclass(frozen=True)
-class LcmLattice:
-    """Distinct lcms of generator subsets, ordered by divisibility;
-    bottom element 1, closed under pairwise lcm."""
-
-    elements: tuple[Monomial, ...]
-
-    def __contains__(self, m: Monomial) -> bool:
-        return m in set(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def _levels_to_monomial(levels: tuple[int, ...], ideal: MonomialIdeal) -> Monomial:
-    n = len(ideal.ring)
-    exps = [0] * n
-    for lv in levels:
-        for v in range(n):
-            if lv >> v & 1:
-                exps[v] += 1
-    return Monomial(ideal.ring, exps)
-
-
-def _lattice_levels(gmasks: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    height = len(gmasks[0])
-    bottom = (0,) * height
-    seen = {bottom}
-    frontier = [bottom]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gmasks:
-                j = mask_lcm(m, g)
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return sorted(seen)
-
-
-def lcm_lattice(ideal: MonomialIdeal) -> LcmLattice:
-    _, gmasks = level_masks(list(ideal.generators))
-    levels = _lattice_levels(gmasks)
-    elems = [_levels_to_monomial(lv, ideal) for lv in levels]
-    elems.sort(key=lambda m: (m.degree, m.exponents))
-    return LcmLattice(tuple(elems))
-
-
-@dataclass(frozen=True)
 class BettiTable:
     """Graded Betti numbers over the lcm lattice."""
 
@@ -251,22 +195,20 @@ def _validate_ideal(ideal: MonomialIdeal, cap: int) -> None:
         )
 
 
-def _packed_to_monomial(mask: int, ideal: MonomialIdeal) -> Monomial:
-    n = len(ideal.ring)
-    exps = [0] * n
-    while mask:
-        low = mask & -mask
-        exps[(low.bit_length() - 1) % n] += 1
-        mask ^= low
-    return Monomial(ideal.ring, exps)
-
-
 def _lattice(gmasks: Sequence[int]) -> set[int]:
     """Packed lcms of all generator subsets, the empty one (0) included."""
     lattice = {0}
     for g in gmasks:
         lattice |= {m | g for m in lattice}
     return lattice
+
+
+def lcm_lattice(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
+    """Distinct lcms of generator subsets, 1 included, ordered by
+    (degree, exponents)."""
+    elems = [packed_to_monomial(m, ideal.ring) for m in _lattice(packed_masks(ideal.generators))]
+    elems.sort(key=lambda m: (m.degree, m.exponents))
+    return tuple(elems)
 
 
 def _subcomplex_faces(m: int, gmasks: Sequence[int]) -> list[tuple[int, ...]]:
@@ -338,7 +280,7 @@ def graded_betti(
             dims = enumerate(homology_dims(_subcomplex_faces(m, gmasks), field))
         else:
             dims = ((k, len(critical)) for k in sizes)
-        entries.extend((i, _packed_to_monomial(m, ideal), v) for i, v in dims if v)
+        entries.extend((i, packed_to_monomial(m, ideal.ring), v) for i, v in dims if v)
     entries.sort(key=lambda e: (e[0], e[1].degree, e[1].exponents))
     return BettiTable(field, ideal.q, tuple(entries))
 
@@ -351,21 +293,15 @@ def graded_betti_via_interval(
     route on small inputs."""
     field = normalize_field(field)
     _validate_ideal(ideal, cap)
-    _, gmasks = level_masks(list(ideal.generators))
-    lattice = _lattice_levels(gmasks)
+    lattice = sorted(_lattice(packed_masks(ideal.generators)))
     entries = []
-    for m_levels in lattice:
-        if not any(m_levels):
-            continue
-        inside = [
-            x
-            for x in lattice
-            if x != m_levels and any(x) and mask_divides(x, m_levels)
-        ]
-        # sorted level tuples are a linear extension of divisibility, so
-        # chains can be grown in increasing index order
+    for m in lattice[1:]:
+        inside = [x for x in lattice if x and x != m and not x & ~m]
+        # sorted packed ints are a linear extension of divisibility (a
+        # divisor is a bit subset, so no larger as an int), so chains can
+        # be grown in increasing index order
         below = [
-            {t for t in range(k) if mask_divides(inside[t], inside[k])}
+            {t for t in range(k) if not inside[t] & ~inside[k]}
             for k in range(len(inside))
         ]
         chains = []
@@ -378,7 +314,7 @@ def graded_betti_via_interval(
                     (chain + (k,), tuple(t for t in candidates if t > k and k in below[t]))
                 )
         dims = homology_dims(sorted(chains), field)
-        monomial = _levels_to_monomial(m_levels, ideal)
+        monomial = packed_to_monomial(m, ideal.ring)
         for i, v in enumerate(dims):
             if v:
                 entries.append((i, monomial, v))

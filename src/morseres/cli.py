@@ -385,18 +385,20 @@ def _print_checks(checks: list[dict]) -> bool:
 
 
 def cmd_verify(args) -> int:
+    """Print one line per check; ``--out`` writes the checks as the
+    document of ``report --out``, and the table1 suite with ``--format
+    csv`` writes its counts as CSV."""
     checks = SUITES[args.suite](args)
     ok = _print_checks(checks)
+    rows = None
     if args.suite == "table1" and args.format == "csv":
-        rows = [["complex"] + [f"beta{i}" for i in range(6)]]
-        rows.append(["L2_4"] + list(l2(4).f_vector()[1:]))
-        rows.append(["L2_4_D"] + list(morse_mod.critical_counts(4, 3, length=6)))
-        text = "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        rows = [
+            ["complex"] + [f"beta{i}" for i in range(6)],
+            ["L2_4"] + list(l2(4).f_vector()[1:]),
+            ["L2_4_D"] + list(morse_mod.critical_counts(4, 3, length=6)),
+        ]
+    if args.out or rows:
+        _emit({"schema": 1, "ok": ok, "checks": checks}, args, csv_rows=rows)
     return 0 if ok else 1
 
 
@@ -424,9 +426,7 @@ def cmd_report(args) -> int:
     print(f"== {'ALL PASS' if ok else 'FAILURES PRESENT'} "
           f"({sum(c['ok'] for c in all_checks)}/{len(all_checks)})")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"schema": 1, "ok": ok, "checks": all_checks}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _emit({"schema": 1, "ok": ok, "checks": all_checks}, args)
     return 0 if ok else 1
 
 

@@ -9,12 +9,22 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
+from .errors import CapacityError
 from .monomials import Monomial, MonomialIdeal, lcm_of
+
+# bound on the subsets walked to list a complex's faces (sum of 2^|facet|);
+# l2(7) walks 2,098,048
+FACE_WALK_LIMIT = 1 << 22
 
 
 def n2_pairs(q: int) -> tuple[tuple[int, int], ...]:
     """Multiset pairs (i, j) with 1 <= i <= j <= q in lexicographic order."""
     return tuple((i, j) for i in range(1, q + 1) for j in range(i, q + 1))
+
+
+def _p(i: int, j: int) -> tuple[int, int]:
+    """The pair vertex of generators i and j, smaller index first."""
+    return (i, j) if i <= j else (j, i)
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -74,6 +84,11 @@ class SimplicialComplex:
 
     @cached_property
     def _face_list(self) -> tuple[int, ...]:
+        walk = sum(1 << facet.bit_count() for facet in self.facets)
+        if walk > FACE_WALK_LIMIT:
+            raise CapacityError(
+                f"listing faces walks {walk} facet subsets, above the bound {FACE_WALK_LIMIT}"
+            )
         seen = set()
         for facet in self.facets:
             seen.update(submasks(facet))

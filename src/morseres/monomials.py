@@ -183,14 +183,6 @@ def lcm_of(monomials: Iterable[Monomial], ring: VariableSet | None = None) -> Mo
     return acc
 
 
-def product_of(a: Monomial, b: Monomial) -> Monomial:
-    return a * b
-
-
-def divides(a: Monomial, b: Monomial) -> bool:
-    return a.divides(b)
-
-
 def degree_vectors(q: int, r: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors of length q summing to r, in descending
     lexicographic order.
@@ -309,34 +301,10 @@ class MonomialIdeal:
             return cls.from_dict(json.load(fh))
 
 
-def level_masks(monomials: Sequence[Monomial]) -> tuple[int, list[tuple[int, ...]]]:
-    """Pack exponent vectors into per-threshold bitmasks.
-
-    Returns (height, masks) where masks[k][t] has bit v set iff the
-    exponent of variable v in monomial k exceeds t.  lcm is then a
-    per-level OR and divisibility a per-level subset test, which keeps
-    the exhaustive sweeps cheap.
-    """
-    height = max((max(m.exponents, default=0) for m in monomials), default=0)
-    height = max(height, 1)
-    packed = []
-    for m in monomials:
-        levels = []
-        for t in range(height):
-            bits = 0
-            for v, e in enumerate(m.exponents):
-                if e > t:
-                    bits |= 1 << v
-            levels.append(bits)
-        packed.append(tuple(levels))
-    return height, packed
-
-
 def packed_masks(monomials: Sequence[Monomial]) -> list[int]:
-    """The level masks of :func:`level_masks` packed into one int per
-    monomial: bit ``t*n + v`` is set iff the exponent of variable v
-    exceeds t, for n variables.  lcm is then ``a | b`` and divisibility
-    ``a & ~b == 0``.
+    """Exponent vectors packed into one int per monomial: bit ``t*n + v``
+    is set iff the exponent of variable v exceeds t, for n variables.
+    lcm is then ``a | b`` and divisibility ``a & ~b == 0``.
     """
     packed = []
     for m in monomials:
@@ -349,9 +317,12 @@ def packed_masks(monomials: Sequence[Monomial]) -> list[int]:
     return packed
 
 
-def mask_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x | y for x, y in zip(a, b))
-
-
-def mask_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x & ~y == 0 for x, y in zip(a, b))
+def packed_to_monomial(mask: int, ring: VariableSet) -> Monomial:
+    """Inverse of :func:`packed_masks` for one mask over ``ring``."""
+    n = len(ring)
+    exps = [0] * n
+    while mask:
+        low = mask & -mask
+        exps[(low.bit_length() - 1) % n] += 1
+        mask ^= low
+    return Monomial(ring, exps)

@@ -12,10 +12,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Mapping
 
-from .complexes import LabeledComplex, SimplicialComplex, l2, submasks, taylor
+from .complexes import LabeledComplex, SimplicialComplex, _p, l2, submasks, taylor
 from .errors import CapacityError, InvariantViolation
 from .extremal import check_qs
 
@@ -191,20 +191,13 @@ def is_homogeneous(matching: Matching, labels: LabeledComplex) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _p(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i <= j else (j, i)
-
-
 def _pivot_faces(q: int, s: int):
     """The pivot faces by type, each as (pair list, j)."""
     ks = range(2, s + 1)
     type1 = [([_p(k, j) for k in ks], j) for j in range(1, q + 1)]
     type2 = []
     for j in range(s + 1, q + 1):
-        stack = [()]
-        for _ in ks:
-            stack = [t + (o,) for t in stack for o in (1, j)]
-        for t in stack:
+        for t in product((1, j), repeat=len(ks)):
             if 1 in t and j in t:
                 type2.append(([_p(k, tk) for k, tk in zip(ks, t)], j))
     type3 = []

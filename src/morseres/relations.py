@@ -10,18 +10,13 @@ characterizations exhaustively against the extremal ideals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Sequence
 
 from . import extremal
-from .complexes import l2, n2_pairs
+from .complexes import _p, l2, n2_pairs
 from .errors import CapacityError
-from .monomials import (
-    MonomialIdeal,
-    level_masks,
-    lcm_of,
-    mask_divides,
-    mask_lcm,
-)
+from .monomials import MonomialIdeal, lcm_of, packed_masks
 
 BRUTE_FORCE_LIMIT = 12
 
@@ -83,15 +78,13 @@ def relation_holds(ideal: MonomialIdeal, rel: DivRel) -> bool:
     return gens[rel.b - 1].divides(target)
 
 
-def _subset_lcm_table(masks: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """lcm level-tuple for every subset of the generator list."""
-    g = len(masks)
-    height = len(masks[0]) if masks else 1
-    bottom = (0,) * height
-    table = [bottom] * (1 << g)
-    for m in range(1, 1 << g):
+def _subset_lcm_table(masks: Sequence[int]) -> list[int]:
+    """Packed lcm of every subset of the generator list, indexed by the
+    subset's bitmask."""
+    table = [0] * (1 << len(masks))
+    for m in range(1, len(table)):
         low = m & -m
-        table[m] = mask_lcm(table[m ^ low], masks[low.bit_length() - 1])
+        table[m] = table[m ^ low] | masks[low.bit_length() - 1]
     return table
 
 
@@ -103,20 +96,12 @@ def _held_nontrivial(ideal: MonomialIdeal, limit: int):
         raise CapacityError(
             f"{g} generators exceeds the brute-force relation bound ({limit})"
         )
-    _, masks = level_masks(list(ideal.generators))
+    masks = packed_masks(ideal.generators)
     table = _subset_lcm_table(masks)
-    held = []
-    for b in range(g):
-        bbit = 1 << b
-        gen = masks[b]
-        got = set()
-        for m in range(1, 1 << g):
-            if m & bbit:
-                continue
-            if mask_divides(gen, table[m]):
-                got.add(m)
-        held.append(got)
-    return held
+    return [
+        {m for m in range(1, 1 << g) if not m >> b & 1 and not gen & ~table[m]}
+        for b, gen in enumerate(masks)
+    ]
 
 
 def _minimal_masks(held: set[int]) -> list[int]:
@@ -182,10 +167,6 @@ def _pair_index(q: int) -> dict[tuple[int, int], int]:
     return {p: k + 1 for k, p in enumerate(n2_pairs(q))}
 
 
-def _p(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i <= j else (j, i)
-
-
 def square_relation_families(q: int, s: int | None = None) -> dict[str, frozenset[DivRel]]:
     """The relation families on the generators of a square, keyed
     "1", "2", "3a", "3b", "4a", "4b".
@@ -211,20 +192,14 @@ def square_relation_families(q: int, s: int | None = None) -> dict[str, frozense
     if s is not None:
         ks = range(2, s + 1)
 
-        def assignments(options):
-            stack = [()]
-            for opts in options:
-                stack = [t + (o,) for t in stack for o in opts]
-            return stack
-
         # (3a): j = 1, t_k in {1, k}
-        for t in assignments([(1, k) for k in ks]):
+        for t in product(*[(1, k) for k in ks]):
             B = {idx[_p(k, tk)] for k, tk in zip(ks, t)}
             fam["3a"].add(DivRel(idx[(1, 1)], B))
 
         for j in range(s + 1, q + 1):
             # (3b): j > s, t_k in {1, j, k}, j among the t_k
-            for t in assignments([(1, j, k) for k in ks]):
+            for t in product(*[(1, j, k) for k in ks]):
                 if j in t:
                     B = {idx[_p(k, tk)] for k, tk in zip(ks, t)}
                     fam["3b"].add(DivRel(idx[(1, j)], B))
@@ -232,14 +207,14 @@ def square_relation_families(q: int, s: int | None = None) -> dict[str, frozense
             for u in range(s + 1, q + 1):
                 if u == j:
                     continue
-                for t in assignments([(1, k) for k in ks]):
+                for t in product(*[(1, k) for k in ks]):
                     B = {idx[_p(k, tk)] for k, tk in zip(ks, t)}
                     B.add(idx[_p(u, j)])
                     fam["4a"].add(DivRel(idx[(1, j)], B))
 
         # (4b): j = u > 1, t_k > 1
         for j in range(2, q + 1):
-            for t in assignments([tuple(range(2, q + 1)) for _ in ks]):
+            for t in product(range(2, q + 1), repeat=len(ks)):
                 B = {idx[_p(k, tk)] for k, tk in zip(ks, t)}
                 B.add(idx[(j, j)])
                 fam["4b"].add(DivRel(idx[(1, j)], B))
@@ -389,7 +364,7 @@ def verify_square_characterization(
     products = [
         ideal.generators[i - 1] * ideal.generators[j - 1] for (i, j) in pairs
     ]
-    _, pmasks = level_masks(products)
+    pmasks = packed_masks(products)
     nv = len(pairs)
 
     if s is None:
@@ -410,13 +385,13 @@ def verify_square_characterization(
         checked = 0
         holds = 0
         bad = []
-        for sigma, lcm_levels, candidates in sigma_lcm_pairs:
+        for sigma, lcm, candidates in sigma_lcm_pairs:
             def has(a, b, _sigma=sigma):
                 return _sigma >> bit_of[(a, b)] & 1
 
             for v in candidates:
                 i, j = pairs[v]
-                brute = mask_divides(pmasks[v], lcm_levels)
+                brute = not pmasks[v] & ~lcm
                 if brute:
                     holds += 1
                 if brute != predict(has, i, j):
@@ -436,14 +411,11 @@ def verify_square_characterization(
                 yield sigma, table[sigma], [v for v in range(nv) if not sigma >> v & 1]
 
     else:
-        cx = l2(q)
-        height = len(pmasks[0])
-        bottom = (0,) * height
-        lcm_by_face: dict[int, tuple[int, ...]] = {0: bottom}
-        face_list = list(cx.faces())
+        face_list = list(l2(q).faces())
+        lcm_by_face = {0: 0}
         for f in face_list:
             low = f & -f
-            lcm_by_face[f] = mask_lcm(lcm_by_face[f ^ low], pmasks[low.bit_length() - 1])
+            lcm_by_face[f] = lcm_by_face[f ^ low] | pmasks[low.bit_length() - 1]
 
         def sweep():
             for f in face_list:

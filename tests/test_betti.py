@@ -142,13 +142,27 @@ def test_graded_entries_locate_first_syzygy():
 
 def test_lcm_lattice_closure():
     lattice = lcm_lattice(I1)
-    elems = set(lattice.elements)
+    elems = set(lattice)
     assert I1.ring.one() in elems
     for g in I1.generators:
         assert g in elems
-    for a in lattice.elements:
-        for b in lattice.elements:
+    for a in lattice:
+        for b in lattice:
             assert a.lcm(b) in elems
+
+
+@pytest.mark.parametrize(
+    "ideal",
+    [I1, I2.power(2).minimalize(), power_generators(4, single_relation(3), 2)],
+    ids=["I1", "I2 square", "extremal square q=4 s=3"],
+)
+def test_lcm_lattice_is_every_subset_lcm(ideal):
+    gens = ideal.generators
+    brute = {
+        lcm_of([gens[k] for k in range(len(gens)) if mask >> k & 1], ring=ideal.ring)
+        for mask in range(1 << len(gens))
+    }
+    assert lcm_lattice(ideal) == tuple(sorted(brute, key=lambda m: (m.degree, m.exponents)))
 
 
 def test_oracle_self_agreement_small_instances():

@@ -114,6 +114,17 @@ def test_verify_table1_csv(tmp_path, capsys):
     assert rows[2] == "L2_4_D,10,21,15,3,0,0"
 
 
+def test_verify_out_writes_the_check_document(tmp_path, capsys):
+    out = tmp_path / "pd.json"
+    code, text = run(capsys, "verify", "--suite", "pd", "--qmax", "4", "--out", str(out))
+    assert code == 0
+    assert text.count("PASS") == 3
+    document = json.loads(out.read_text())
+    assert document["schema"] == 1
+    assert document["ok"] is True
+    assert [c["name"] for c in document["checks"]] == ["pd q=3 s=3", "pd q=4 s=3", "pd q=4 s=4"]
+
+
 def test_verify_examples(capsys):
     code, text = run(capsys, "verify", "--suite", "examples")
     assert code == 0
@@ -169,6 +180,15 @@ def test_unknown_suite_rejected(capsys):
 
 def test_capacity_error_exits_2_without_traceback(capsys):
     assert main(["morse", "--q", "7", "--s", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("morseres: error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind, q", [("l2", "8"), ("taylor", "40")])
+def test_face_listing_above_the_walk_bound_exits_2(capsys, kind, q):
+    assert main(["complex", "--type", kind, "--q", q, "--fvector"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("morseres: error: ")

@@ -74,7 +74,7 @@ def test_generators_match_printed_example():
     assert relation_holds(ideal, DivRel(1, {2, 3}))
 
 
-def test_product_of_first_two_generators():
+def test_first_two_generators_multiply():
     ideal = extremal_generators(4, single_relation(3))
     e1, e2 = ideal.generators[0], ideal.generators[1]
     expected = ideal.ring.parse(

@@ -7,12 +7,9 @@ from morseres.monomials import (
     MonomialIdeal,
     VariableSet,
     degree_vectors,
-    divides,
     lcm_of,
-    level_masks,
-    mask_divides,
-    mask_lcm,
     packed_masks,
+    packed_to_monomial,
 )
 
 RING = VariableSet("abcdefg")
@@ -34,9 +31,9 @@ def test_lcm_examples():
 
 
 def test_divides_examples():
-    assert divides(RING.one(), m("a^3bc"))
-    assert divides(m("ab"), lcm_of([m("bcd"), m("aef")]))
-    assert not divides(m("a^2"), m("a"))
+    assert RING.one().divides(m("a^3bc"))
+    assert m("ab").divides(lcm_of([m("bcd"), m("aef")]))
+    assert not m("a^2").divides(m("a"))
 
 
 def test_product_examples():
@@ -198,20 +195,6 @@ def test_ideal_json_round_trip(tmp_path):
     assert loaded.to_dict()["generators"] == ["ab", "bcd", "aef", "cg"]
 
 
-def test_level_masks_agree_with_monomials():
-    ms = [m("a^2b"), m("bc"), m("ac^2d")]
-    height, packed = level_masks(ms)
-    assert height == 2
-    for i, a in enumerate(ms):
-        for j, b in enumerate(ms):
-            assert mask_divides(packed[i], packed[j]) == a.divides(b)
-            joined = mask_lcm(packed[i], packed[j])
-            exps = tuple(
-                sum(lv >> v & 1 for lv in joined) for v in range(len(RING))
-            )
-            assert exps == a.lcm(b).exponents
-
-
 def test_packed_masks_agree_with_monomials():
     ms = [m("a^2b"), m("bc"), m("ac^2d"), m("1")]
     packed = packed_masks(ms)
@@ -219,6 +202,12 @@ def test_packed_masks_agree_with_monomials():
         for b, pb in zip(ms, packed):
             assert (pa & ~pb == 0) == a.divides(b)
             assert pa | pb == packed_masks([a.lcm(b)])[0]
+
+
+@given(st.lists(st.integers(0, 4), min_size=7, max_size=7))
+def test_packed_to_monomial_inverts_packed_masks(exponents):
+    mono = RING.monomial(exponents)
+    assert packed_to_monomial(packed_masks([mono])[0], RING) == mono
 
 
 @pytest.mark.parametrize(

@@ -73,6 +73,16 @@ def test_all_relations_variables_have_no_minimal():
     assert nontrivial == []
 
 
+def test_all_relations_agree_with_relation_holds_on_a_square():
+    square = I2.power(2).minimalize()
+    held = set(all_relations(square).all)
+    q = square.q
+    for b in range(1, q + 1):
+        for mask in range(1, 1 << q):
+            rel = DivRel(b, {k + 1 for k in range(q) if mask >> k & 1})
+            assert (rel in held) == relation_holds(square, rel), rel
+
+
 def test_all_relations_capacity():
     ring = VariableSet("abcdefghijklmn")
     ideal = MonomialIdeal(ring, [ring.variable(v) for v in "abcdefghijklm"])
