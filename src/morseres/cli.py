@@ -387,11 +387,14 @@ def _print_checks(checks: list[dict]) -> bool:
 def cmd_verify(args) -> int:
     """Print one line per check; ``--out`` writes the checks as the
     document of ``report --out``, and the table1 suite with ``--format
-    csv`` writes its counts as CSV."""
+    csv`` writes its counts as CSV (no other suite has CSV rows)."""
+    csv = args.format == "csv"
+    if csv and args.suite != "table1":
+        raise ValueError(f"suite {args.suite!r} has no CSV rows; only table1 does")
     checks = SUITES[args.suite](args)
     ok = _print_checks(checks)
     rows = None
-    if args.suite == "table1" and args.format == "csv":
+    if csv:
         rows = [
             ["complex"] + [f"beta{i}" for i in range(6)],
             ["L2_4"] + list(l2(4).f_vector()[1:]),

@@ -123,7 +123,9 @@ def build_matching(faces: Iterable[int], spec: MatchingSpec) -> Matching:
         )
     bigs = sorted(down)
     bigs.sort(key=int.bit_count)
-    return Matching(tuple((big, down[big]) for big in bigs))
+    pairs = tuple(zip(bigs, map(down.__getitem__, bigs)))
+    del down, bigs
+    return Matching(pairs)
 
 
 def critical_cells(faces: Iterable[int], spec: MatchingSpec) -> frozenset[int]:
@@ -136,6 +138,15 @@ def critical_cells(faces: Iterable[int], spec: MatchingSpec) -> frozenset[int]:
     return frozenset(loose)
 
 
+def _bit_table(width: int, shift: int) -> list[tuple[int, ...]]:
+    """Entry x (a ``width``-bit mask) lists the single bits of x, each
+    shifted left by ``shift``."""
+    table = [()]
+    for x in range(1, 1 << width):
+        table.append(table[x & (x - 1)] + ((x & -x) << shift,))
+    return table
+
+
 def is_acyclic(faces: Iterable[int], matching: Matching) -> bool:
     """No directed cycle after reversing the matched edges.
 
@@ -144,39 +155,53 @@ def is_acyclic(faces: Iterable[int], matching: Matching) -> bool:
     cardinalities and passes through bigger partners only: big leads to
     up[sub] for every facet sub of big that is a face, matched upward and
     not big's own partner.  The search checks that digraph for a cycle.
+    A bigger partner whose smaller face is not a face has no incoming
+    edge, so it lies on no cycle and is left out.
     """
-    Y = set(faces)
-    get = {small: big for big, small in matching.pairs if small in Y}.get
+    up = {small: big for big, small in matching.pairs}
+    inside = up.keys() & faces
+    # rebuilt only when an edge drops out, so a matching on the faces
+    # never holds two up maps at once
+    if len(inside) < len(up):
+        up = {small: up[small] for small in inside}
+    del inside
+    if not up:
+        return True
+    # facets of big are big ^ bit for each bit, read from two half-width tables
+    width = max(up.values()).bit_length()
+    h = width // 2
+    low = (1 << h) - 1
+    lo, hi = _bit_table(h, 0), _bit_table(width - h, h)
+    get = up.get
     succ: dict[int, list[int]] = {}
-    for big, _ in matching.pairs:
-        out = []
-        m = big
-        while m:
-            low = m & -m
-            m ^= low
-            nxt = get(big ^ low)
-            if nxt is not None and nxt != big:
-                out.append(nxt)
-        succ[big] = out
+    for big in up.values():
+        out = [
+            nxt
+            for nxt in map(get, [big ^ bit for bit in lo[big & low] + hi[big >> h]])
+            if nxt is not None and nxt != big
+        ]
+        if out:
+            succ[big] = out
+    del up, get
 
-    color = dict.fromkeys(succ, 0)
-    for start in succ:
-        if color[start]:
-            continue
-        color[start] = 1
-        stack = [(start, iter(succ[start]))]
+    # a node is on the current path, still in succ (unvisited), or finished
+    on_path: set[int] = set()
+    while succ:
+        start, out = succ.popitem()
+        on_path.add(start)
+        stack = [(start, iter(out))]
         while stack:
             node, it = stack[-1]
             for nxt in it:
-                c = color[nxt]
-                if c == 1:
+                if nxt in on_path:
                     return False
-                if c == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(succ[nxt])))
+                out = succ.pop(nxt, None)
+                if out is not None:
+                    on_path.add(nxt)
+                    stack.append((nxt, iter(out)))
                     break
             else:
-                color[node] = 2
+                on_path.remove(node)
                 stack.pop()
     return True
 

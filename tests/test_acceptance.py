@@ -97,6 +97,22 @@ def test_criterion_4_oracle_matches_minimal_cell_counts():
     report(4, "homology oracle equals critical-cell counts at q=3,4", b)
 
 
+def test_criterion_4_minimality_certificate():
+    # pairwise-distinct lcm labels on the critical cells of the homogeneous
+    # matching make the Morse resolution minimal
+    with Budget(60) as b:
+        for q in range(3, 6):
+            faces = list(l2(q).faces())
+            for s in range(3, q + 1):
+                spec, _ = matching_l2(q, s)
+                labels = LabeledComplex(
+                    spec.complex, power_generators(q, single_relation(s), 2)
+                )
+                cells = critical_cells(faces, spec)
+                assert len({labels.label(f) for f in cells}) == len(cells), (q, s)
+    report(4, "critical cells carry pairwise-distinct lcm labels for 3<=s<=q<=5", b)
+
+
 def test_criterion_5_example_betti_vectors():
     with Budget(120) as b:
         r1 = VariableSet("abcdefg")

@@ -284,3 +284,14 @@ def test_extremal_square_q6_s3_matches_cell_counts_within_budget():
     assert table.total() == critical_counts(6, 3)
     assert table.projective_dimension == pd_formula(6, 3)[1]
     assert elapsed < 60, f"runtime {elapsed:.1f}s exceeds budget 60s"
+
+
+@pytest.mark.parametrize("s", [4, 5, 6])
+def test_extremal_square_q6_matches_cell_counts_within_budget(s):
+    # 21 generators, above the default cap of 15; budget 60 s for each s
+    start = time.perf_counter()
+    table = graded_betti(power_generators(6, single_relation(s), 2), "gf2", cap=21)
+    elapsed = time.perf_counter() - start
+    assert table.total() == critical_counts(6, s)
+    assert table.projective_dimension == pd_formula(6, s)[1]
+    assert elapsed < 60, f"runtime {elapsed:.1f}s exceeds budget 60s"

@@ -114,6 +114,17 @@ def test_verify_table1_csv(tmp_path, capsys):
     assert rows[2] == "L2_4_D,10,21,15,3,0,0"
 
 
+@pytest.mark.parametrize("suite", ["pd", "firstpower"])
+def test_verify_csv_for_a_suite_without_rows_exits_2(tmp_path, capsys, suite):
+    out = tmp_path / "checks.csv"
+    assert main(["verify", "--suite", suite, "--format", "csv", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("morseres: error: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_out_writes_the_check_document(tmp_path, capsys):
     out = tmp_path / "pd.json"
     code, text = run(capsys, "verify", "--suite", "pd", "--qmax", "4", "--out", str(out))

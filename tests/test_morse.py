@@ -121,6 +121,10 @@ def test_matching_validation():
         Matching(((0b11, 0b100),))  # not a sub-face
     with pytest.raises(ValueError):
         Matching(((0b111, 0b011), (0b111, 0b101)))  # face used twice
+    with pytest.raises(ValueError):
+        Matching(((0b011, 0b001), (0b101, 0b001)))  # smaller face used twice
+    with pytest.raises(ValueError):
+        Matching(((0b111, 0b011), (0b011, 0b001)))  # bigger in one edge, smaller in another
 
 
 def test_is_acyclic_detects_cyclic_matching():

@@ -8,7 +8,7 @@ inclusion digraph with no such restriction.
 
 import random
 
-from morseres.complexes import l2, taylor
+from morseres.complexes import l2, submasks, taylor
 from morseres.morse import (
     Matching,
     _reachable_lower,
@@ -114,6 +114,70 @@ def test_acyclicity_agrees_with_full_digraph_on_random_matchings():
             outcomes.add(fast)
     # the random draw must exercise both verdicts for the test to mean anything
     assert outcomes == {True, False}
+
+
+def reference_acyclic(faces, matching):
+    """The full-digraph verdict on the faces plus every bigger partner.
+
+    `is_acyclic` follows a reversed matched edge from each smaller face
+    that is a face, even when its bigger partner is not one; a bigger
+    partner whose smaller face is not a face has no way in, so adding the
+    bigger partners to the faces changes nothing else.
+    """
+    nodes = set(faces) | {big for big, _ in matching.pairs}
+    return not has_cycle_anywhere(full_digraph(nodes, matching))
+
+
+def random_down_closed(faces, rng):
+    """The nonempty subsets of a few random faces."""
+    tops = rng.sample(faces, rng.randint(1, 6))
+    closed = list({sub for top in tops for sub in submasks(top) if sub})
+    rng.shuffle(closed)
+    return closed
+
+
+def test_acyclicity_with_smaller_faces_outside_the_faces():
+    # random matchings on all of l2(4), checked on random down-closed sub-lists
+    everything = list(l2(4).faces())
+    rng = random.Random(7)
+    outcomes = set()
+    partly_outside = 0
+    for seed in range(60):
+        matching = random_matching(everything, seed)
+        faces = random_down_closed(everything, rng)
+        inside = set(faces)
+        smalls_inside = sum(small in inside for _, small in matching.pairs)
+        partly_outside += 0 < smalls_inside < len(matching)
+        verdict = is_acyclic(faces, matching)
+        assert verdict == reference_acyclic(faces, matching), seed
+        outcomes.add(verdict)
+    assert outcomes == {True, False}
+    assert partly_outside > 0
+
+
+def test_acyclicity_accepts_a_one_shot_generator():
+    everything = list(l2(3).faces())
+    outcomes = set()
+    for seed in range(20):
+        matching = random_matching(everything, seed)
+        verdict = is_acyclic(iter(everything), matching)
+        assert verdict == is_acyclic(everything, matching)
+        assert verdict == reference_acyclic(everything, matching), seed
+        outcomes.add(verdict)
+    _, matching = matching_l2(4, 3)
+    assert is_acyclic((f for f in l2(4).faces()), matching)
+    assert outcomes == {True, False}
+
+
+def test_acyclicity_when_no_smaller_face_is_a_face():
+    everything = list(l2(4).faces())
+    matching = random_matching(everything, 0)
+    assert not is_acyclic(everything, matching)
+    bigs = [big for big, _ in matching.pairs]
+    smalls = {small for _, small in matching.pairs}
+    for faces in ([], bigs, [f for f in everything if f not in smalls]):
+        assert is_acyclic(faces, matching)
+        assert reference_acyclic(faces, matching)
 
 
 def test_acyclicity_agrees_on_production_matchings():
