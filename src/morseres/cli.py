@@ -384,10 +384,16 @@ def _print_checks(checks: list[dict]) -> bool:
     return ok
 
 
+def _check_trials(args) -> None:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+
+
 def cmd_verify(args) -> int:
     """Print one line per check; ``--out`` writes the checks as the
     document of ``report --out``, and the table1 suite with ``--format
     csv`` writes its counts as CSV (no other suite has CSV rows)."""
+    _check_trials(args)
     csv = args.format == "csv"
     if csv and args.suite != "table1":
         raise ValueError(f"suite {args.suite!r} has no CSV rows; only table1 does")
@@ -406,6 +412,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _check_trials(args)
     all_checks = []
     for name in (
         "table1",

@@ -10,7 +10,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError
-from .monomials import Monomial, MonomialIdeal, lcm_of
+from .monomials import Monomial, MonomialIdeal, packed_masks, packed_to_monomial
 
 # bound on the subsets walked to list a complex's faces (sum of 2^|facet|);
 # l2(7) walks 2,098,048
@@ -152,24 +152,28 @@ def l2(q: int) -> SimplicialComplex:
 
 class LabeledComplex:
     """Complex plus one monomial generator per vertex; faces are labeled
-    with the lcm of their vertex labels (computed lazily)."""
+    with the lcm of their vertex labels, computed lazily as the OR of the
+    generators' packed masks."""
 
-    __slots__ = ("complex", "ideal", "_cache")
+    __slots__ = ("complex", "ideal", "_masks", "_cache")
 
     def __init__(self, complex: SimplicialComplex, ideal: MonomialIdeal):
         if len(ideal.generators) != len(complex.vertices):
             raise ValueError("need exactly one generator per vertex")
         self.complex = complex
         self.ideal = ideal
-        self._cache: dict[int, Monomial] = {}
+        self._masks = packed_masks(ideal.generators)
+        # the empty face is labeled 1 (mask 0), which ends the recursion
+        self._cache: dict[int, int] = {0: 0}
 
-    def label(self, face: int) -> Monomial:
+    def packed_label(self, face: int) -> int:
+        """The label of ``face`` as a packed mask (see ``packed_masks``)."""
         got = self._cache.get(face)
         if got is None:
-            gens = self.ideal.generators
-            got = lcm_of(
-                (gens[k] for k in range(face.bit_length()) if face >> k & 1),
-                ring=self.ideal.ring,
-            )
+            low = face & -face
+            got = self.packed_label(face ^ low) | self._masks[low.bit_length() - 1]
             self._cache[face] = got
         return got
+
+    def label(self, face: int) -> Monomial:
+        return packed_to_monomial(self.packed_label(face), self.ideal.ring)

@@ -7,6 +7,7 @@ Everything here is pure and hashable, so values can be shared freely.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
@@ -108,10 +109,11 @@ class Monomial:
     __slots__ = ("ring", "exponents")
 
     def __init__(self, ring: VariableSet, exponents: Sequence[int]):
-        exponents = tuple(int(e) for e in exponents)
+        # operator.index rejects floats and strings with TypeError
+        exponents = tuple(map(operator.index, exponents))
         if len(exponents) != len(ring):
             raise ValueError("exponent vector length must equal variable count")
-        if any(e < 0 for e in exponents):
+        if exponents and min(exponents) < 0:
             raise ValueError("exponents must be non-negative")
         self.ring = ring
         self.exponents = exponents
@@ -237,37 +239,23 @@ class MonomialIdeal:
 
     @property
     def is_minimal(self) -> bool:
-        gs = self.generators
-        for i, g in enumerate(gs):
-            for j, h in enumerate(gs):
-                if i != j and h.divides(g) and (h != g or j < i):
-                    return False
-        return True
+        return len(minimal_indices(packed_masks(self.generators))) == self.q
 
     def minimalize(self) -> "MonomialIdeal":
         """Drop generators divisible by another generator (first duplicate wins)."""
         gs = self.generators
-        kept = []
-        for i, g in enumerate(gs):
-            redundant = any(
-                i != j and h.divides(g) and (h != g or j < i) for j, h in enumerate(gs)
-            )
-            if not redundant:
-                kept.append(g)
-        return MonomialIdeal(self.ring, kept)
+        return MonomialIdeal(self.ring, [gs[i] for i in minimal_indices(packed_masks(gs))])
 
     def power(self, r: int) -> "MonomialIdeal":
         """Products of r generators, ordered by :func:`degree_vectors`."""
         if r < 1:
             raise ValueError("power must be >= 1")
-        gens = []
-        for vec in degree_vectors(self.q, r):
-            m = self.ring.one()
-            for i, a in enumerate(vec):
-                for _ in range(a):
-                    m = m * self.generators[i]
-            gens.append(m)
-        return MonomialIdeal(self.ring, gens)
+        # combinations_with_replacement yields the index multisets of
+        # degree_vectors in the same order
+        return MonomialIdeal(self.ring, [
+            Monomial(self.ring, map(sum, zip(*(g.exponents for g in combo))))
+            for combo in combinations_with_replacement(self.generators, r)
+        ])
 
     def to_dict(self) -> dict:
         return {
@@ -326,3 +314,16 @@ def packed_to_monomial(mask: int, ring: VariableSet) -> Monomial:
         exps[(low.bit_length() - 1) % n] += 1
         mask ^= low
     return Monomial(ring, exps)
+
+
+def minimal_indices(masks: Sequence[int]) -> list[int]:
+    """Indices of the packed masks that no other mask divides; of equal
+    masks only the first is kept."""
+    kept = []
+    for i, g in enumerate(masks):
+        for j, h in enumerate(masks):
+            if not h & ~g and (h != g or j < i):
+                break
+        else:
+            kept.append(i)
+    return kept

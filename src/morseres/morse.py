@@ -208,7 +208,8 @@ def is_acyclic(faces: Iterable[int], matching: Matching) -> bool:
 
 def is_homogeneous(matching: Matching, labels: LabeledComplex) -> bool:
     """Every matched edge joins faces with equal lcm labels."""
-    return all(labels.label(big) == labels.label(small) for big, small in matching.pairs)
+    label = labels.packed_label
+    return all(label(big) == label(small) for big, small in matching.pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import random
 from typing import Iterator
 
 from .extremal import check_qs
-from .monomials import Monomial, MonomialIdeal, VariableSet, lcm_of
+from .monomials import MonomialIdeal, VariableSet, minimal_indices, packed_to_monomial
 
 LETTERS = "abcdefghijklmnop"
 
@@ -29,29 +29,30 @@ def random_squarefree_ideal(
     minimal.
     """
     check_qs(q, s)
-    if num_vars > len(LETTERS):
-        raise ValueError(f"at most {len(LETTERS)} variables supported")
+    if not 2 <= num_vars <= len(LETTERS):
+        raise ValueError(f"num_vars must be in 2..{len(LETTERS)}; generators need two variables")
     rng = rng if rng is not None else random.Random(seed)
     ring = VariableSet(LETTERS[:num_vars])
 
+    # square-free monomials as variable bitmasks, which are also their
+    # packed masks (every exponent is at most 1)
     def draw_from(indices):
         while True:
             picked = [v for v in indices if rng.random() < 0.5]
             if len(picked) >= 2:
-                exps = [0] * num_vars
-                for v in picked:
-                    exps[v] = 1
-                return Monomial(ring, exps)
+                return sum(1 << v for v in picked)
 
     for _ in range(max_tries):
         rest = [draw_from(range(num_vars)) for _ in range(q - 1)]
-        target = lcm_of(rest[: s - 1], ring=ring)
-        if len(target.support) < 2:
+        target = 0
+        for g in rest[: s - 1]:
+            target |= g
+        if target.bit_count() < 2:
             continue
-        first = draw_from(sorted(target.support))
-        ideal = MonomialIdeal(ring, [first] + rest)
-        if ideal.is_minimal:
-            return ideal
+        first = draw_from([v for v in range(num_vars) if target >> v & 1])
+        masks = [first] + rest
+        if len(minimal_indices(masks)) == q:
+            return MonomialIdeal(ring, [packed_to_monomial(g, ring) for g in masks])
     raise RuntimeError("failed to draw a minimal ideal; widen num_vars")
 
 

@@ -224,3 +224,23 @@ def test_cell_order_mismatch_is_an_invariant_violation(monkeypatch):
     with pytest.raises(InvariantViolation, match="cell order mismatch"):
         morse.morse_complex(3, 3, with_order=True, cross_check=True)
     assert not all(c["ok"] for c in cli.suite_cell_order())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "upperbound", "--trials", "-3"],
+        ["verify", "--suite", "homogeneity", "--trials", "0"],
+        ["report", "--trials", "0"],
+        ["report", "--trials", "-1"],
+    ],
+)
+def test_trials_below_one_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "checks.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("morseres: error: ")
+    assert "--trials" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not out.exists()

@@ -126,6 +126,24 @@ def test_label_union_property():
                 assert labels.label(a | b) == labels.label(a).lcm(labels.label(b))
 
 
+def test_labels_match_lcm_of_and_packed_labels():
+    from morseres.monomials import lcm_of, packed_masks
+    from morseres.sampling import random_ideals
+
+    cases = [power_generators(4, single_relation(3), 2)]
+    cases += [ideal.power(2) for ideal in random_ideals(5, q=4, s=3, seed=29)]
+    cx = l2(4)
+    for square in cases:
+        labels = LabeledComplex(cx, square)
+        gens = square.generators
+        for f in cx.faces(include_empty=True):
+            expected = lcm_of(
+                (gens[k] for k in range(len(gens)) if f >> k & 1), ring=square.ring
+            )
+            assert labels.label(f) == expected
+            assert labels.packed_label(f) == packed_masks([expected])[0]
+
+
 def test_labeled_complex_needs_one_generator_per_vertex():
     ring = VariableSet("ab")
     with pytest.raises(ValueError):

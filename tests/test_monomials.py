@@ -222,3 +222,88 @@ def test_packed_to_monomial_inverts_packed_masks(exponents):
 def test_ideal_from_dict_rejects_bad_documents(data, message):
     with pytest.raises(ValueError, match=message):
         MonomialIdeal.from_dict(data)
+
+
+@pytest.mark.parametrize("bad", [[1.7, 0, 0, 0, 0, 0, 0], ["2", 0, 0, 0, 0, 0, 0]])
+def test_monomial_rejects_non_integer_exponents(bad):
+    with pytest.raises(TypeError):
+        Monomial(RING, bad)
+    with pytest.raises(TypeError):
+        Monomial(VariableSet("ab"), bad[:2])
+
+
+def test_monomial_keeps_its_value_checks():
+    with pytest.raises(ValueError, match="non-negative"):
+        Monomial(RING, [0, -1, 0, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match="length"):
+        Monomial(RING, [1, 0])
+    assert Monomial(VariableSet(()), ()).exponents == ()
+
+
+def test_every_constructor_route_still_builds_monomials():
+    from morseres.extremal import extremal_generators, power_generators, single_relation
+    from morseres.sampling import random_squarefree_ideal
+
+    assert Monomial(RING, (True, 0, 0, 0, 0, 0, 0)) == RING.variable("a")
+    assert Monomial(RING, iter([1, 0, 0, 0, 0, 0, 2])) == m("ag^2")
+    assert RING.one().exponents == (0,) * 7
+    assert RING.monomial([0, 1, 0, 0, 0, 0, 0]) == RING.variable("b")
+    assert RING.parse("a^2c").exponents == (2, 0, 1, 0, 0, 0, 0)
+    assert (m("ab") * m("bc")).exponents == (1, 2, 1, 0, 0, 0, 0)
+    assert m("a^2b").lcm(m("bc^3")).exponents == (2, 1, 3, 0, 0, 0, 0)
+    assert packed_to_monomial(packed_masks([m("a^3d")])[0], RING) == m("a^3d")
+    assert [str(g) for g in extremal_generators(3, single_relation(3)).generators] == [
+        "y_{12}y_{13}y_{123}", "y_{2}y_{12}y_{23}y_{123}", "y_{3}y_{13}y_{23}y_{123}"
+    ]
+    assert power_generators(3, single_relation(3), 2).q == 6
+    for g in random_squarefree_ideal(4, 3, seed=3).generators:
+        assert g.is_squarefree and g.degree >= 2
+
+
+def divides_brute_force(gens):
+    """Redundant generator positions by Monomial.divides (first duplicate wins)."""
+    return [
+        any(i != j and h.divides(g) and (h != g or j < i) for j, h in enumerate(gens))
+        for i, g in enumerate(gens)
+    ]
+
+
+small_monomials = st.lists(st.integers(0, 2), min_size=7, max_size=7).map(as_mono)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.one_of(small_monomials, st.just(RING.one())), max_size=7).flatmap(
+        lambda gens: st.permutations(gens + gens[: len(gens) // 2])
+    )
+)
+def test_minimality_matches_divides_brute_force(gens):
+    ideal = MonomialIdeal(RING, gens)
+    redundant = divides_brute_force(gens)
+    assert ideal.is_minimal == (not any(redundant))
+    kept = tuple(g for g, r in zip(gens, redundant) if not r)
+    assert ideal.minimalize().generators == kept
+    assert ideal.minimalize().is_minimal
+
+
+def test_minimality_edge_cases():
+    one = RING.one()
+    assert MonomialIdeal(RING, []).is_minimal
+    assert MonomialIdeal(RING, [one]).is_minimal
+    assert not MonomialIdeal(RING, [m("ab"), one]).is_minimal
+    assert MonomialIdeal(RING, [m("ab"), one, one]).minimalize().generators == (one,)
+    assert MonomialIdeal(RING, [m("a^2"), m("a"), m("a^2")]).minimalize().generators == (m("a"),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_monomials, max_size=5), st.integers(1, 3))
+def test_power_matches_repeated_products(gens, r):
+    ideal = MonomialIdeal(RING, gens)
+    expected = []
+    for vec in degree_vectors(len(gens), r):
+        prod = RING.one()
+        for g, a in zip(gens, vec):
+            for _ in range(a):
+                prod = prod * g
+        expected.append(prod)
+    assert ideal.power(r).generators == tuple(expected)

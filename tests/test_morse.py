@@ -5,7 +5,7 @@ import pytest
 
 from morseres.complexes import LabeledComplex, SimplicialComplex, l2, taylor
 from morseres.extremal import power_generators, single_relation
-from morseres.monomials import MonomialIdeal, VariableSet
+from morseres.monomials import MonomialIdeal, VariableSet, lcm_of
 from morseres.morse import (
     Matching,
     MatchingSpec,
@@ -22,6 +22,7 @@ from morseres.morse import (
     morse_complex,
     prune_taylor_first_power,
 )
+from morseres.sampling import random_ideals
 
 
 def face(cx, text):
@@ -156,6 +157,47 @@ def test_homogeneous_for_extremal_and_mislabeled_control():
     ring = VariableSet("abcdefghij")
     distinct = MonomialIdeal(ring, [ring.variable(v) for v in ring.names])
     assert not is_homogeneous(matching, LabeledComplex(spec.complex, distinct))
+
+
+def homogeneous_by_monomials(matching, ideal):
+    """is_homogeneous by the monomial route: lcm_of over each face's generators."""
+    gens = ideal.generators
+
+    def label(face):
+        return lcm_of(
+            (gens[k] for k in range(face.bit_length()) if face >> k & 1), ring=ideal.ring
+        )
+
+    return all(label(big) == label(small) for big, small in matching.pairs)
+
+
+def test_is_homogeneous_matches_monomial_labels_on_extremal_squares():
+    for q in range(3, 6):
+        for s in range(3, q + 1):
+            spec, matching = matching_l2(q, s)
+            square = power_generators(q, single_relation(s), 2)
+            assert is_homogeneous(matching, LabeledComplex(spec.complex, square)) is True
+            assert homogeneous_by_monomials(matching, square) is True
+    spec, matching = matching_l2(4, 3)
+    ring = VariableSet("abcdefghij")
+    distinct = MonomialIdeal(ring, [ring.variable(v) for v in ring.names])
+    assert is_homogeneous(matching, LabeledComplex(spec.complex, distinct)) is False
+    assert homogeneous_by_monomials(matching, distinct) is False
+
+
+def test_is_homogeneous_matches_monomial_labels_on_random_squares():
+    # each random ideal satisfies the relation; reversed, it usually does
+    # not, so both verdicts occur
+    spec, matching = matching_l2(4, 3)
+    verdicts = []
+    for ideal in random_ideals(200, q=4, s=3, seed=23):
+        for gens in (ideal.generators, ideal.generators[::-1]):
+            square = MonomialIdeal(ideal.ring, gens).power(2)
+            got = is_homogeneous(matching, LabeledComplex(spec.complex, square))
+            assert got == homogeneous_by_monomials(matching, square)
+            verdicts.append(got)
+    assert all(verdicts[::2])
+    assert not all(verdicts[1::2])
 
 
 def test_pivot_list_contains_third_type_for_larger_q():
