@@ -161,10 +161,6 @@ class Monomial:
         return sum(self.exponents)
 
     @property
-    def is_one(self) -> bool:
-        return not any(self.exponents)
-
-    @property
     def is_squarefree(self) -> bool:
         return all(e <= 1 for e in self.exponents)
 

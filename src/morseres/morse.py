@@ -418,10 +418,6 @@ class MorseComplex:
             return out
         return out + (0,) * (length - len(out))
 
-    @property
-    def all_cells(self) -> frozenset[int]:
-        return frozenset(c for group in self.cells for c in group)
-
 
 def morse_complex(
     q: int,

@@ -327,20 +327,6 @@ class CharacterizationReport:
     def ok(self) -> bool:
         return not self.counterexamples
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "q": self.q,
-            "s": self.s,
-            "scope": self.scope,
-            "pairsChecked": self.pairs_checked,
-            "holdsCount": self.holds_count,
-            "counterexamples": [
-                {"pair": list(v), "faces": [list(p) for p in sig]}
-                for v, sig in self.counterexamples
-            ],
-        }
-
 
 def verify_square_characterization(
     q: int, s: int | None, scope: str
@@ -441,19 +427,6 @@ class AuditReport:
     @property
     def matches(self) -> bool:
         return self.brute_minimal == self.predicted_minimal
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "q": self.q,
-            "s": self.s,
-            "matches": self.matches,
-            "bruteMinimal": [r.to_dict() for r in sorted(self.brute_minimal, key=DivRel.sort_key)],
-            "predictedMinimal": [
-                r.to_dict() for r in sorted(self.predicted_minimal, key=DivRel.sort_key)
-            ],
-            "dropped4b": [r.to_dict() for r in sorted(self.dropped_4b, key=DivRel.sort_key)],
-        }
 
 
 def minimality_audit(q: int, s: int) -> AuditReport:

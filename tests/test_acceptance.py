@@ -1,27 +1,20 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
-Run with `pytest -s tests/test_acceptance.py -v` to see the lines; every
-comparison is exact and each criterion carries its runtime budget.
+The criteria are the `morseres.cli.suite_*` functions, which `morseres
+verify` and `morseres report` run too. Each test asserts that every check
+of its suite passes and pins the values the suite computed. Run with
+`pytest -s tests/test_acceptance.py -v` to see the lines; every comparison
+is exact and each criterion carries its runtime budget.
 """
 
 import time
 
-from morseres.betti import pd_formula, projective_dimension, total_betti
+from morseres import cli
+from morseres.betti import pd_formula, projective_dimension
 from morseres.complexes import LabeledComplex, l2
 from morseres.extremal import extremal_generators, power_generators, single_relation
-from morseres.monomials import MonomialIdeal, VariableSet
-from morseres.morse import (
-    critical_cells,
-    critical_closed_form_l2,
-    critical_counts,
-    is_acyclic,
-    is_homogeneous,
-    matching_l2,
-    morse_complex,
-    prune_taylor_first_power,
-)
-from morseres.relations import minimality_audit, verify_square_characterization
-from morseres.sampling import random_ideals
+from morseres.morse import critical_cells, matching_l2, morse_complex
+from morseres.relations import DivRel, minimality_audit
 
 TRIALS = 100
 SEED = 0
@@ -48,52 +41,56 @@ def report(n, message, budget):
     print(f"PASS  criterion {n}: {message}  [{budget.elapsed:.2f}s]")
 
 
+def passed(checks, prefix=""):
+    """The `got` value of each check whose name starts with `prefix`, by
+    name, after asserting that every one of them passed."""
+    checks = [c for c in checks if c["name"].startswith(prefix)]
+    assert all(c["ok"] for c in checks), [c for c in checks if not c["ok"]]
+    return {c["name"]: c["got"] for c in checks}
+
+
+def pairs(qmax):
+    return [(q, s) for q in range(3, qmax + 1) for s in range(3, q + 1)]
+
+
 def test_criterion_1_table_reproduction():
     with Budget(1) as b:
-        fv = l2(4).f_vector()[1:]
-        counts = critical_counts(4, 3, length=6)
-    assert fv == (10, 27, 32, 19, 6, 1)
-    assert counts == (10, 21, 15, 3, 0, 0)
+        got = passed(cli.suite_table1())
+    assert got == {
+        "pair-complex q=4 cell counts": [10, 27, 32, 19, 6, 1],
+        "pruned q=4 s=3 cell counts": [10, 21, 15, 3, 0, 0],
+    }
     report(1, "pair-complex q=4 and pruned-cell counts match the table", b)
 
 
 def test_criterion_2_engine_equals_closed_form():
     with Budget(120) as b:
-        for q in range(3, 7):
-            faces = list(l2(q).faces())
-            for s in range(3, q + 1):
-                spec, _ = matching_l2(q, s)
-                assert critical_cells(faces, spec) == critical_closed_form_l2(q, s), (q, s)
+        got = passed(cli.suite_engine(6), "engine=closed-form")
+    assert got == {f"engine=closed-form q={q} s={s}": True for q, s in pairs(6)}
     report(2, "matching engine equals closed form for all 3<=s<=q<=6", b)
 
 
 def test_criterion_3_acyclic_and_homogeneous():
     with Budget(120) as b:
-        for q in range(3, 7):
-            faces = list(l2(q).faces())
-            for s in range(3, q + 1):
-                _, matching = matching_l2(q, s)
-                assert is_acyclic(faces, matching), (q, s)
-        for q in range(3, 6):
-            for s in range(3, q + 1):
-                spec, matching = matching_l2(q, s)
-                labels = LabeledComplex(
-                    spec.complex, power_generators(q, single_relation(s), 2)
-                )
-                assert is_homogeneous(matching, labels), (q, s)
-        spec, matching = matching_l2(4, 3)
-        for ideal in random_ideals(TRIALS, q=4, s=3, seed=SEED):
-            labels = LabeledComplex(spec.complex, ideal.power(2))
-            assert is_homogeneous(matching, labels), ideal
+        acyclic = passed(cli.suite_engine(6), "acyclic")
+        homogeneous = passed(cli.suite_homogeneity(TRIALS, SEED))
+    assert acyclic == {f"acyclic q={q} s={s}": True for q, s in pairs(6)}
+    assert homogeneous == {
+        **{f"homogeneous extremal labels q={q} s={s}": True for q, s in pairs(5)},
+        f"homogeneous over {TRIALS} random ideals": 0,
+    }
     report(3, f"acyclicity (q<=6) and homogeneity (extremal q<=5, {TRIALS} random)", b)
 
 
 def test_criterion_4_oracle_matches_minimal_cell_counts():
     with Budget(60) as b:
-        got4 = total_betti(power_generators(4, single_relation(3), 2), "gf2")
-        got3 = total_betti(power_generators(3, single_relation(3), 2), "gf2")
-    assert got4 == (10, 21, 15, 3) == critical_counts(4, 3)
-    assert got3 == (6, 6, 1) == critical_counts(3, 3)
+        got = passed(cli.suite_minimality())
+    assert got == {
+        "oracle equals cell counts q=3 s=3": [6, 6, 1],
+        "cell counts q=3 s=3": [6, 6, 1],
+        "oracle equals cell counts q=4 s=3": [10, 21, 15, 3],
+        "cell counts q=4 s=3": [10, 21, 15, 3],
+    }
     report(4, "homology oracle equals critical-cell counts at q=3,4", b)
 
 
@@ -114,65 +111,52 @@ def test_criterion_4_minimality_certificate():
 
 
 def test_criterion_5_example_betti_vectors():
+    # the I2 square has beta_0 = 9 minimal generators; the "fields agree"
+    # values are the Betti vectors over Q
     with Budget(120) as b:
-        r1 = VariableSet("abcdefg")
-        i1 = MonomialIdeal(r1, [r1.parse(t) for t in ("ab", "bcd", "aef", "cg")])
-        assert total_betti(i1.power(2)) == (10, 17, 9, 1)
-        r2 = VariableSet("abcdef")
-        i2 = MonomialIdeal(r2, [r2.parse(t) for t in ("ab", "bcd", "aef", "ce")])
-        minimal = i2.power(2).minimalize()
-        assert minimal.q == 9
-        assert total_betti(minimal) == (9, 14, 6)
-        assert total_betti(minimal, length=4) == (9, 14, 6, 0)
-        two = power_generators(4, [(1, {2, 3}), (4, {2, 3})], 2)
-        assert total_betti(two) == (10, 21, 14, 2)
+        got = passed(cli.suite_examples())
+    assert got == {
+        "I1 square Betti": [10, 17, 9, 1],
+        "I1 square pd": 3,
+        "I2 square Betti (minimalized)": [9, 14, 6, 0],
+        "I2 square pd": 2,
+        "two-relation extremal square Betti": [10, 21, 14, 2],
+        "two-relation extremal square pd": 3,
+        "I1 square fields agree": [10, 17, 9, 1],
+        "I2 square fields agree": [9, 14, 6],
+        "two-relation square fields agree": [10, 21, 14, 2],
+    }
     report(5, "worked-example Betti vectors reproduce exactly", b)
 
 
 def test_criterion_6_pd_formulas():
     with Budget(120) as b:
-        for q in (3, 4):
-            for s in range(3, q + 1):
-                first, second = pd_formula(q, s)
-                assert projective_dimension(extremal_generators(q, single_relation(s))) == first
-                assert projective_dimension(power_generators(q, single_relation(s), 2)) == second
-        for q in range(3, 7):
-            for s in range(3, q + 1):
-                first, second = pd_formula(q, s)
-                gamma = prune_taylor_first_power(q, s).gamma
-                assert max(f.bit_count() for f in gamma.faces()) - 1 == first
-                crit = critical_closed_form_l2(q, s)
-                assert max(f.bit_count() for f in crit) - 1 == second
+        for q, s in pairs(4):
+            first, second = pd_formula(q, s)
+            assert projective_dimension(extremal_generators(q, single_relation(s))) == first
+            assert projective_dimension(power_generators(q, single_relation(s), 2)) == second
+        got = passed(cli.suite_pd(6))
+    assert got == {f"pd q={q} s={s}": list(pd_formula(q, s)) for q, s in pairs(6)}
     report(6, "pd formulas match the oracle (q<=4) and max cell dims (q<=6)", b)
 
 
 def test_criterion_7_characterization_sweeps():
     with Budget(300) as b:
-        for q in (1, 2, 3):
-            rep = verify_square_characterization(q, None, "taylor")
-            assert rep.ok, rep.counterexamples[:3]
-        rep = verify_square_characterization(4, 3, "l2")
-        assert rep.ok, rep.counterexamples[:3]
-        for s in (3, 4, 5):
-            rep = verify_square_characterization(5, s, "l2")
-            assert rep.ok, (s, rep.counterexamples[:3])
-        from morseres.relations import DivRel
-
-        for q in range(3, 6):
-            for s in range(3, q + 1):
-                audit = minimality_audit(q, s)
-                assert audit.matches, (q, s)
-                if (q, s) == (5, 5):
-                    assert DivRel(2, frozenset({6, 7, 11, 14})) in audit.dropped_4b
-                if (q, s) == (5, 4):
-                    assert DivRel(5, frozenset({9, 10, 13, 15})) in audit.dropped_4b
+        got = passed(cli.suite_characterization(5))
+        assert DivRel(2, frozenset({6, 7, 11, 14})) in minimality_audit(5, 5).dropped_4b
+        assert DivRel(5, frozenset({9, 10, 13, 15})) in minimality_audit(5, 4).dropped_4b
+    assert got == {
+        **{f"characterization taylor q={q} (no relation)": 0 for q in (1, 2, 3)},
+        "characterization taylor q=4 s=3": 0,
+        **{f"characterization l2 q={q} s={s}": 0 for q, s in pairs(5)},
+        **{f"minimality audit q={q} s={s}": True for q, s in pairs(5)},
+    }
     report(7, "characterization sweeps and minimality audits are clean", b)
 
 
 def test_criterion_8_cell_order():
     with Budget(180) as b:
-        for q, s in ((3, 3), (4, 3), (4, 4), (5, 3)):
-            morse_complex(q, s, with_order=True, cross_check=True)
+        got = passed(cli.suite_cell_order())
         mc = morse_complex(4, 3, with_order=True)
         cx = mc.complex
 
@@ -185,27 +169,26 @@ def test_criterion_8_cell_order():
         for sig in ("11 12 14", "11 13 14", "12 13 23", "13 14 23", "12 14 23"):
             assert (f(sig), pyramid) in mc.order
         assert len({sig for sig, tau in mc.order if tau == pyramid}) == 5
+    assert got == {
+        f"cell order closed form q={q} s={s}": True
+        for q, s in ((3, 3), (4, 3), (4, 4), (5, 3))
+    }
     report(8, "closed-form cell order agrees with gradient paths", b)
 
 
 def test_criterion_9_upper_bound_law():
     with Budget(300) as b:
-        bound = critical_counts(4, 3, length=6)
-        violations = 0
-        for ideal in random_ideals(TRIALS, q=4, s=3, seed=SEED):
-            totals = total_betti(ideal.power(2).minimalize(), length=6)
-            if any(t > c for t, c in zip(totals, bound)):
-                violations += 1
-        assert violations == 0
+        got = passed(cli.suite_upper_bound(TRIALS, SEED))
+    assert got == {f"Betti bound over {TRIALS} random ideals": 0}
     report(9, f"Betti numbers bounded by cell counts over {TRIALS} random squares", b)
 
 
 def test_criterion_10_first_power_suite():
     with Budget(120) as b:
-        fp = prune_taylor_first_power(4, 3)
-        assert fp.gamma.f_vector()[1:] == (4, 5, 2)
-        one = extremal_generators(4, single_relation(3))
-        assert total_betti(one) == (4, 5, 2)
-        two = extremal_generators(4, [(1, {2, 3}), (4, {2, 3})])
-        assert total_betti(two) == (4, 5, 2)
+        got = passed(cli.suite_first_power())
+    assert got == {
+        "pruned simplex q=4 s=3 f-tail": [4, 5, 2],
+        "extremal first-power Betti (one relation)": [4, 5, 2],
+        "extremal first-power Betti (two relations)": [4, 5, 2],
+    }
     report(10, "first-power pruned complex and Betti vectors reproduce", b)

@@ -91,16 +91,6 @@ def test_binomial_betti_for_variables():
         assert total_betti(ideal, "rational") == expected
 
 
-def test_section6_examples_both_fields():
-    assert total_betti(I1.power(2)) == (10, 17, 9, 1)
-    assert total_betti(I1.power(2), "rational") == (10, 17, 9, 1)
-    sq2 = I2.power(2).minimalize()
-    assert sq2.q == 9
-    assert total_betti(sq2) == (9, 14, 6)
-    assert total_betti(sq2, length=4) == (9, 14, 6, 0)
-    assert total_betti(sq2, "rational") == (9, 14, 6)
-
-
 def test_extremal_square_betti_both_fields():
     square = power_generators(4, single_relation(3), 2)
     assert total_betti(square) == (10, 21, 15, 3)
@@ -108,12 +98,6 @@ def test_extremal_square_betti_both_fields():
     e3 = power_generators(3, (), 2)
     assert total_betti(e3) == (6, 9, 4)
     assert total_betti(e3, "rational") == (6, 9, 4)
-
-
-def test_two_relation_square():
-    square = power_generators(4, [(1, {2, 3}), (4, {2, 3})], 2)
-    assert total_betti(square) == (10, 21, 14, 2)
-    assert total_betti(square, "rational") == (10, 21, 14, 2)
 
 
 def test_graded_betti_rejects_non_minimal_input():
@@ -209,16 +193,6 @@ def test_pd_formula_values():
         pd_formula(3, 2)
 
 
-def test_pd_formula_matches_oracle_small():
-    for q in (3, 4):
-        for s in range(3, q + 1):
-            first, second = pd_formula(q, s)
-            ideal = extremal_generators(q, single_relation(s))
-            square = power_generators(q, single_relation(s), 2)
-            assert projective_dimension(ideal) == first
-            assert projective_dimension(square) == second
-
-
 def rank_route_entries(ideal, field):
     """Graded Betti entries by ranks on every face of every strict-divisor
     subcomplex, with lcms taken on monomials rather than masks."""
@@ -276,17 +250,7 @@ def test_extremal_square_q5_needs_no_rank_fallback(s):
         assert len({f.bit_count() for f in _critical_faces(m, gmasks)}) <= 1
 
 
-def test_extremal_square_q6_s3_matches_cell_counts_within_budget():
-    # 21 generators, above the default cap of 15; budget 60 s
-    start = time.perf_counter()
-    table = graded_betti(power_generators(6, single_relation(3), 2), "gf2", cap=21)
-    elapsed = time.perf_counter() - start
-    assert table.total() == critical_counts(6, 3)
-    assert table.projective_dimension == pd_formula(6, 3)[1]
-    assert elapsed < 60, f"runtime {elapsed:.1f}s exceeds budget 60s"
-
-
-@pytest.mark.parametrize("s", [4, 5, 6])
+@pytest.mark.parametrize("s", [3, 4, 5, 6])
 def test_extremal_square_q6_matches_cell_counts_within_budget(s):
     # 21 generators, above the default cap of 15; budget 60 s for each s
     start = time.perf_counter()

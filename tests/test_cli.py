@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -153,6 +154,18 @@ def test_betti_graded_csv(tmp_path, capsys):
     assert "1,xy,1" in text
 
 
+def test_betti_csv_without_graded_exits_2(tmp_path, capsys):
+    path, out = tmp_path / "xy.json", tmp_path / "table.csv"
+    path.write_text(json.dumps({"schema": 1, "variables": ["x", "y"], "generators": ["x", "y"]}))
+    assert main(["betti", "--ideal", str(path), "--format", "csv", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("morseres: error: ")
+    assert "--graded" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_deterministic_artifacts(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):
@@ -171,6 +184,13 @@ def test_report_document(tmp_path, capsys):
     assert document["ok"] is True
     suites = {c["suite"] for c in document["checks"]}
     assert {"table1", "examples", "pd", "characterization"} <= suites
+    # a change to report's bytes must be deliberate: these are its digests
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3d3d9bbf147af250af517de623e33509ce88a420762d7b339856c16a2c7bde14"
+    )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "98c2432ea09e76e6ac1cc410b0dc56b426d12439ef18ae6ae763de048da3b284"
+    )
 
 
 def test_failing_check_reports_and_exits_nonzero(capsys, monkeypatch):
@@ -233,14 +253,18 @@ def test_cell_order_mismatch_is_an_invariant_violation(monkeypatch):
         ["verify", "--suite", "homogeneity", "--trials", "0"],
         ["report", "--trials", "0"],
         ["report", "--trials", "-1"],
+        ["verify", "--suite", "pd", "--qmax", "2"],
+        ["verify", "--suite", "engine", "--qmax", "0"],
+        ["report", "--trials", "1", "--qmax", "2"],
     ],
 )
 def test_trials_below_one_exit_2(tmp_path, capsys, argv):
+    # argv ends with the rejected option and its value
     out = tmp_path / "checks.json"
     assert main(argv + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("morseres: error: ")
-    assert "--trials" in captured.err
+    assert argv[-2] in captured.err
     assert captured.err.count("\n") == 1
     assert not out.exists()

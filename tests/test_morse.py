@@ -90,11 +90,6 @@ def test_critical_cells_formula_equals_incidence(m43):
     assert crit == critical_closed_form_l2(4, 3)
 
 
-def test_critical_counts():
-    assert critical_counts(4, 3, length=6) == (10, 21, 15, 3, 0, 0)
-    assert critical_counts(3, 3) == (6, 6, 1)
-
-
 def test_block_is_critical_when_relation_spans_everything():
     cx = l2(4)
     block = cx.mask([(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
@@ -137,16 +132,6 @@ def test_is_acyclic_detects_cyclic_matching():
     fine = Matching(((ab, a), (bc, b)))
     assert is_acyclic(cx.faces(), fine)
     assert is_acyclic(cx.faces(), Matching(()))
-
-
-@pytest.mark.parametrize("q", [3, 4, 5])
-def test_engine_equals_closed_form_and_acyclic(q):
-    cx = l2(q)
-    faces = list(cx.faces())
-    for s in range(3, q + 1):
-        spec, matching = matching_l2(q, s)
-        assert critical_cells(faces, spec) == critical_closed_form_l2(q, s)
-        assert is_acyclic(faces, matching)
 
 
 def test_homogeneous_for_extremal_and_mislabeled_control():
