@@ -50,7 +50,6 @@ from .betti import (
     lcm_lattice,
     pd_formula,
     projective_dimension,
-    reduced_homology_dims,
     total_betti,
 )
 from .sampling import random_ideals, random_squarefree_ideal

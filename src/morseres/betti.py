@@ -10,10 +10,11 @@ are the cells of a Morse complex with the same homology.  The first
 matching is applied while enumerating, so the faces it pairs are never
 built.  When every survivor has one cardinality k the Morse complex has
 zero differentials and H~_{k-1} is the number of survivors over every
-field; otherwise the full face list goes through the rank route below.
-The matchings use only the generators' divisibility, nothing of the pair
-complex or its matching in `morse`, so the oracle stays independent of
-the counts it checks.
+field; otherwise the full face list, from the same walk with no lcm
+required, goes through the rank route below.  A face is a vertex bitmask
+in every route; 0 is the empty face.  The matchings use only the
+generators' divisibility, nothing of the pair complex or its matching in
+`morse`, so the oracle stays independent of the counts it checks.
 
 A second route through order complexes of open lcm intervals is kept
 for cross-checking.  Ranks are computed exactly: bitsets over GF(2) and
@@ -30,7 +31,6 @@ from typing import Sequence
 from .errors import CapacityError, NonMinimalIdealError
 from .extremal import check_qs
 from .monomials import Monomial, MonomialIdeal, packed_masks, packed_to_monomial
-from .complexes import SimplicialComplex
 
 GF2 = "gf2"
 RATIONAL = "rational"
@@ -91,61 +91,46 @@ def exact_rank(columns: Sequence[dict[int, int]]) -> int:
     return rank
 
 
-def _boundary_rank(
-    upper: Sequence[tuple[int, ...]], lower_index: dict[tuple[int, ...], int], field: str
-) -> int:
-    """Rank of the boundary map from faces `upper` (as sorted vertex
-    tuples) to the faces indexed by `lower_index`."""
-    if field == GF2:
-        cols = []
-        for face in upper:
-            bits = 0
-            for k in range(len(face)):
-                sub = face[:k] + face[k + 1 :]
-                bits |= 1 << lower_index[sub]
-            cols.append(bits)
-        return gf2_rank(cols)
+def _boundary_rank(upper: Sequence[int], lower_index: dict[int, int], field: str) -> int:
+    """Rank of the boundary map from the bitmask faces `upper` to the
+    faces indexed by `lower_index`.  Dropping vertex `low` from `face`
+    has sign (-1)^(number of vertices of `face` below `low`)."""
     cols = []
     for face in upper:
         col = {}
-        for k in range(len(face)):
-            sub = face[:k] + face[k + 1 :]
-            col[lower_index[sub]] = -1 if k & 1 else 1
+        rest = face
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            col[lower_index[face ^ low]] = -1 if (face & (low - 1)).bit_count() & 1 else 1
         cols.append(col)
+    if field == GF2:
+        return gf2_rank([sum(1 << r for r in col) for col in cols])
     return exact_rank(cols)
 
 
-def homology_dims(faces: Sequence[tuple[int, ...]], field: str = GF2) -> tuple[int, ...]:
+def homology_dims(faces: Sequence[int], field: str = GF2) -> tuple[int, ...]:
     """Reduced homology dimensions of an inclusion-closed face list.
 
-    Faces are sorted vertex tuples; the empty tuple is the empty face.
+    Faces are vertex bitmasks in any order; 0 is the empty face.
     Returns (dim H~_{-1}, dim H~_0, ...).  A void input (no faces at
-    all) yields all zeros; the list [()] yields H~_{-1} = 1.
+    all) yields all zeros; the list [0] yields H~_{-1} = 1.
     """
     field = normalize_field(field)
     if not faces:
         return ()
-    by_card: dict[int, list[tuple[int, ...]]] = {}
+    by_card: dict[int, list[int]] = {}
     for f in faces:
-        by_card.setdefault(len(f), []).append(f)
+        by_card.setdefault(f.bit_count(), []).append(f)
     top = max(by_card)
     counts = [len(by_card.get(k, ())) for k in range(top + 1)]
     ranks = [0] * (top + 2)
     if counts[0] and top >= 1 and counts[1]:
         ranks[1] = 1
     for k in range(2, top + 1):
-        lower = sorted(by_card.get(k - 1, ()))
-        index = {f: i for i, f in enumerate(lower)}
-        ranks[k] = _boundary_rank(sorted(by_card.get(k, ())), index, field)
+        index = {f: i for i, f in enumerate(by_card.get(k - 1, ()))}
+        ranks[k] = _boundary_rank(by_card.get(k, ()), index, field)
     return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
-
-
-def reduced_homology_dims(cx: SimplicialComplex, field: str = GF2) -> tuple[int, ...]:
-    """Reduced homology of a simplicial complex, empty face included."""
-    if cx.is_void:
-        return ()
-    faces = [cx.members(m) for m in cx.faces(include_empty=True)]
-    return homology_dims(faces, field)
 
 
 @dataclass(frozen=True)
@@ -211,19 +196,27 @@ def lcm_lattice(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
     return tuple(elems)
 
 
-def _subcomplex_faces(m: int, gmasks: Sequence[int]) -> list[tuple[int, ...]]:
-    """Every face of the strict-divisor subcomplex at m, as sorted tuples
-    of generator indices."""
-    support = [k for k, g in enumerate(gmasks) if not g & ~m]
+def _divisor_faces(m: int, gmasks: Sequence[int], verts: Sequence[int], need: int) -> list[int]:
+    """Faces F over `verts`, as bitmasks of generator indices, whose lcm
+    strictly divides m and is divisible by `need`.  Every vertex's
+    generator must divide m.  A branch is cut as soon as even adding
+    every later vertex cannot supply `need`."""
+    # reach[t] is the lcm of verts[t:]: all that extending from there can add
+    reach = [0] * (len(verts) + 1)
+    for t in range(len(verts) - 1, -1, -1):
+        reach[t] = reach[t + 1] | gmasks[verts[t]]
     faces = []
-    stack = [((), 0, 0)]
+    stack = [(0, 0, 0)]
     while stack:
         face, lcm, start = stack.pop()
-        faces.append(face)
-        for t in range(start, len(support)):
-            nlcm = lcm | gmasks[support[t]]
+        if not need & ~lcm:
+            faces.append(face)
+        for t in range(start, len(verts)):
+            if need & ~(lcm | reach[t]):
+                break
+            nlcm = lcm | gmasks[verts[t]]
             if nlcm != m:
-                stack.append((face + (support[t],), nlcm, t + 1))
+                stack.append((face | 1 << verts[t], nlcm, t + 1))
     return faces
 
 
@@ -237,25 +230,8 @@ def _critical_faces(m: int, gmasks: Sequence[int]) -> list[int]:
     only those F are enumerated.  Each later vertex v then removes the
     survivors F for which F ^ v also survives.
     """
-    support = [k for k, g in enumerate(gmasks) if not g & ~m]
-    v0, rest = support[0], support[1:]
-    need = m & ~gmasks[v0]
-    # reach[t] is the lcm of rest[t:]: all that extending from there can add
-    reach = [0] * (len(rest) + 1)
-    for t in range(len(rest) - 1, -1, -1):
-        reach[t] = reach[t + 1] | gmasks[rest[t]]
-    critical = []
-    stack = [(0, 0, 0)]
-    while stack:
-        face, lcm, start = stack.pop()
-        if not need & ~lcm:
-            critical.append(face)
-        for t in range(start, len(rest)):
-            if need & ~(lcm | reach[t]):
-                break
-            nlcm = lcm | gmasks[rest[t]]
-            if nlcm != m:
-                stack.append((face | 1 << rest[t], nlcm, t + 1))
+    v0, *rest = [k for k, g in enumerate(gmasks) if not g & ~m]
+    critical = _divisor_faces(m, gmasks, rest, m & ~gmasks[v0])
     for v in rest:
         alive = set(critical)
         critical = [f for f in critical if f ^ 1 << v not in alive]
@@ -277,7 +253,8 @@ def graded_betti(
         critical = _critical_faces(m, gmasks)
         sizes = {f.bit_count() for f in critical}
         if len(sizes) > 1:
-            dims = enumerate(homology_dims(_subcomplex_faces(m, gmasks), field))
+            support = [k for k, g in enumerate(gmasks) if not g & ~m]
+            dims = enumerate(homology_dims(_divisor_faces(m, gmasks, support, 0), field))
         else:
             dims = ((k, len(critical)) for k in sizes)
         entries.extend((i, packed_to_monomial(m, ideal.ring), v) for i, v in dims if v)
@@ -299,21 +276,21 @@ def graded_betti_via_interval(
         inside = [x for x in lattice if x and x != m and not x & ~m]
         # sorted packed ints are a linear extension of divisibility (a
         # divisor is a bit subset, so no larger as an int), so chains can
-        # be grown in increasing index order
+        # be grown in increasing index order, as bitmasks over `inside`
         below = [
             {t for t in range(k) if not inside[t] & ~inside[k]}
             for k in range(len(inside))
         ]
         chains = []
-        stack = [((), tuple(range(len(inside))))]
+        stack = [(0, tuple(range(len(inside))))]
         while stack:
             chain, candidates = stack.pop()
             chains.append(chain)
             for k in candidates:
                 stack.append(
-                    (chain + (k,), tuple(t for t in candidates if t > k and k in below[t]))
+                    (chain | 1 << k, tuple(t for t in candidates if t > k and k in below[t]))
                 )
-        dims = homology_dims(sorted(chains), field)
+        dims = homology_dims(chains, field)
         monomial = packed_to_monomial(m, ideal.ring)
         for i, v in enumerate(dims):
             if v:

@@ -387,18 +387,21 @@ def _print_checks(checks: list[dict]) -> bool:
     return ok
 
 
-def _check_suite_args(args) -> None:
+def _check_suite_args(args, suites) -> None:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if args.qmax is not None and args.qmax < 3:
         raise ValueError(f"--qmax must be at least 3, got {args.qmax}")
+    # the characterization sweeps stop at q = 6 (taylor and audits lower)
+    if args.qmax is not None and args.qmax > 6 and "characterization" in suites:
+        raise ValueError(f"--qmax must be at most 6 for suite characterization, got {args.qmax}")
 
 
 def cmd_verify(args) -> int:
     """Print one line per check; ``--out`` writes the checks as the
     document of ``report --out``, and the table1 suite with ``--format
     csv`` writes its counts as CSV (no other suite has CSV rows)."""
-    _check_suite_args(args)
+    _check_suite_args(args, [args.suite])
     csv = args.format == "csv"
     if csv and args.suite != "table1":
         raise ValueError(f"suite {args.suite!r} has no CSV rows; only table1 does")
@@ -414,7 +417,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    _check_suite_args(args)
+    _check_suite_args(args, SUITES)
     all_checks = []
     for name in SUITES:
         print(f"== suite {name}")

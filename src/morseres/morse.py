@@ -105,18 +105,11 @@ def _buckets(faces: Iterable[int], spec: MatchingSpec) -> list[set[int]]:
     return buckets
 
 
-def _partition(faces: Iterable[int], spec: MatchingSpec) -> dict[int, set[int]]:
-    """Group the faces that contain a pivot by the largest pivot they
-    contain."""
-    buckets = _buckets(faces, spec)
-    return {sigma: members for sigma, members in zip(spec.order, buckets[1:]) if members}
-
-
 def build_matching(faces: Iterable[int], spec: MatchingSpec) -> Matching:
     """Within each group, match tau against tau minus the chosen vertex
     whenever both lie in the group."""
     down: dict[int, int] = {}
-    for sigma, members in _partition(faces, spec).items():
+    for sigma, members in zip(spec.order, _buckets(faces, spec)[1:]):
         vbit = 1 << spec.omega[sigma]
         down.update(
             {tau: tau ^ vbit for tau in members if tau & vbit and tau ^ vbit in members}

@@ -10,11 +10,12 @@ characterizations exhaustively against the extremal ideals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from typing import Sequence
 
 from . import extremal
-from .complexes import _p, l2, n2_pairs
+from .complexes import LabeledComplex, _p, l2, n2_pairs, taylor
 from .errors import CapacityError
 from .monomials import MonomialIdeal, lcm_of, packed_masks
 
@@ -345,74 +346,34 @@ def verify_square_characterization(
         raise CapacityError(f"l2 scope bounded at q <= 6 (got q={q})")
 
     rels = extremal.single_relation(s) if s is not None else ()
-    ideal = extremal.extremal_generators(q, rels)
+    square = extremal.extremal_generators(q, rels).power(2)
     pairs = n2_pairs(q)
-    products = [
-        ideal.generators[i - 1] * ideal.generators[j - 1] for (i, j) in pairs
-    ]
-    pmasks = packed_masks(products)
-    nv = len(pairs)
-
+    cx = taylor(len(pairs)) if scope == "taylor" else l2(q)
+    labeled = LabeledComplex(cx, square)
+    pmasks = packed_masks(square.generators)
+    # with no relation only families 1 and 2 are predicted, and no face of
+    # l2 holds the three pairs either needs, so they predict nothing there
     if s is None:
-        def predict(has, i, j, _q=q):
-            if scope == "l2":
-                return False
-            return _predict_taylor_empty(_q, has, i, j)
-    elif scope == "taylor":
-        def predict(has, i, j, _q=q, _s=s):
-            return _predict_taylor_one(_q, _s, has, i, j)
+        predict = partial(_predict_taylor_empty, q)
     else:
-        def predict(has, i, j, _q=q, _s=s):
-            return _predict_l2_one(_q, _s, has, i, j)
-
+        predict = partial(_predict_taylor_one if scope == "taylor" else _predict_l2_one, q, s)
     bit_of = {p: k for k, p in enumerate(pairs)}
 
-    def run_pairs(sigma_lcm_pairs):
-        checked = 0
-        holds = 0
-        bad = []
-        for sigma, lcm, candidates in sigma_lcm_pairs:
-            def has(a, b, _sigma=sigma):
-                return _sigma >> bit_of[(a, b)] & 1
-
-            for v in candidates:
-                i, j = pairs[v]
-                brute = not pmasks[v] & ~lcm
-                if brute:
-                    holds += 1
-                if brute != predict(has, i, j):
-                    if len(bad) < 32:
-                        members = tuple(
-                            pairs[k] for k in range(nv) if sigma >> k & 1
-                        )
-                        bad.append(((i, j), members))
-                checked += 1
-        return checked, holds, bad
-
-    if scope == "taylor":
-        table = _subset_lcm_table(pmasks)
-
-        def sweep():
-            for sigma in range(1 << nv):
-                yield sigma, table[sigma], [v for v in range(nv) if not sigma >> v & 1]
-
-    else:
-        face_list = list(l2(q).faces())
-        lcm_by_face = {0: 0}
-        for f in face_list:
-            low = f & -f
-            lcm_by_face[f] = lcm_by_face[f ^ low] | pmasks[low.bit_length() - 1]
-
-        def sweep():
-            for f in face_list:
-                m = f
-                while m:
-                    low = m & -m
-                    m ^= low
-                    v = low.bit_length() - 1
-                    yield f ^ low, lcm_by_face[f ^ low], [v]
-
-    checked, holds, bad = run_pairs(sweep())
+    checked = holds = 0
+    bad = []
+    for f in cx.faces():
+        rest = f
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            sigma, v = f ^ low, low.bit_length() - 1
+            brute = not pmasks[v] & ~labeled.packed_label(sigma)
+            holds += brute
+            if brute != predict(lambda a, b: sigma >> bit_of[a, b] & 1, *pairs[v]):
+                if len(bad) < 32:
+                    members = tuple(p for k, p in enumerate(pairs) if sigma >> k & 1)
+                    bad.append((pairs[v], members))
+            checked += 1
     return CharacterizationReport(q, s, scope, checked, holds, tuple(bad))
 
 

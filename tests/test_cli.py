@@ -256,6 +256,8 @@ def test_cell_order_mismatch_is_an_invariant_violation(monkeypatch):
         ["verify", "--suite", "pd", "--qmax", "2"],
         ["verify", "--suite", "engine", "--qmax", "0"],
         ["report", "--trials", "1", "--qmax", "2"],
+        ["verify", "--suite", "characterization", "--qmax", "7"],
+        ["report", "--trials", "1", "--qmax", "7"],
     ],
 )
 def test_trials_below_one_exit_2(tmp_path, capsys, argv):

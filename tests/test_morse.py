@@ -9,7 +9,7 @@ from morseres.monomials import MonomialIdeal, VariableSet, lcm_of
 from morseres.morse import (
     Matching,
     MatchingSpec,
-    _partition,
+    _buckets,
     build_matching,
     cell_order_closed_form,
     critical_cells,
@@ -23,6 +23,11 @@ from morseres.morse import (
     prune_taylor_first_power,
 )
 from morseres.sampling import random_ideals
+
+
+def groups_of(faces, spec):
+    """The non-empty groups of faces, keyed by the largest pivot they contain."""
+    return {sigma: g for sigma, g in zip(spec.order, _buckets(faces, spec)[1:]) if g}
 
 
 def face(cx, text):
@@ -53,7 +58,7 @@ def test_pivot_list_and_omega(m43):
 
 def test_partition_matches_worked_example(m43):
     spec, _, cx = m43
-    groups = _partition(cx.faces(), spec)
+    groups = groups_of(cx.faces(), spec)
     got = {frozenset(cx.members(g)) for g in groups[face(cx, "12 13")]}
     expected = {
         frozenset({(1, 2), (1, 3)}),
@@ -69,7 +74,7 @@ def test_partition_matches_worked_example(m43):
 
 def test_matched_edges_in_first_group(m43):
     spec, matching, cx = m43
-    groups = _partition(cx.faces(), spec)
+    groups = groups_of(cx.faces(), spec)
     members = groups[face(cx, "12 13")]
     edges = {(big, small) for big, small in matching.pairs if big in members}
     assert edges == {
@@ -408,9 +413,9 @@ def test_partition_equals_top_down_scan(cx):
     faces = list(cx.faces())
     rng = random.Random(7)
     for spec in random_specs(cx, 25, seed=len(cx.vertices)):
-        assert _partition(faces, spec) == naive_partition(faces, spec)
+        assert groups_of(faces, spec) == naive_partition(faces, spec)
         subset = [f for f in faces if rng.random() < 0.4]
-        assert _partition(subset, spec) == naive_partition(subset, spec)
+        assert groups_of(subset, spec) == naive_partition(subset, spec)
 
 
 @pytest.mark.parametrize("cx", [taylor(5), l2(4)], ids=["taylor5", "l2_4"])

@@ -1,5 +1,6 @@
 import pytest
 
+from morseres import relations
 from morseres.complexes import n2_pairs
 from morseres.errors import CapacityError
 from morseres.extremal import power_generators, single_relation
@@ -166,6 +167,39 @@ def test_characterization_l2():
     for q, s in ((4, 3), (4, 4), (5, 3)):
         report = verify_square_characterization(q, s, "l2")
         assert report.ok, (q, s, report.counterexamples[:3])
+
+
+@pytest.mark.parametrize(
+    "q, s, scope, pairs_checked, holds_count",
+    [
+        (1, None, "taylor", 1, 0),
+        (2, None, "taylor", 12, 1),
+        (3, None, "taylor", 192, 48),
+        (4, 3, "taylor", 5120, 2369),
+        (3, 3, "l2", 36, 3),
+        (4, 3, "l2", 272, 23),
+        (4, 4, "l2", 272, 4),
+        (5, 3, "l2", 5360, 560),
+        (5, 4, "l2", 5360, 217),
+        (5, 5, "l2", 5360, 5),
+        (6, 3, "l2", 246432, 26916),
+    ],
+)
+def test_characterization_sweep_counts(q, s, scope, pairs_checked, holds_count):
+    report = verify_square_characterization(q, s, scope)
+    assert (report.pairs_checked, report.holds_count, report.counterexamples) == (
+        pairs_checked,
+        holds_count,
+        (),
+    )
+
+
+def test_characterization_reports_wrong_predictions_up_to_the_cap(monkeypatch):
+    # predicting no relation misses every one that holds: 23 at (4, 3),
+    # 560 at (5, 3) of which the first 32 are kept
+    monkeypatch.setattr(relations, "_predict_l2_one", lambda *args: False)
+    assert len(verify_square_characterization(4, 3, "l2").counterexamples) == 23
+    assert len(verify_square_characterization(5, 3, "l2").counterexamples) == 32
 
 
 def test_characterization_specific_instance():
