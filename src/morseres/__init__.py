@@ -20,6 +20,7 @@ from .relations import (
     DivRel,
     RelationReport,
     all_relations,
+    l2_face_relations,
     minimal_relations,
     minimality_audit,
     predicted_minimal_square_relations,
@@ -36,6 +37,7 @@ from .morse import (
     critical_cells,
     critical_closed_form_l2,
     critical_counts,
+    gradient_cell_order,
     gradient_path_exists,
     is_acyclic,
     is_homogeneous,

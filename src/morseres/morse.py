@@ -16,7 +16,7 @@ from itertools import chain, product
 from typing import Iterable, Mapping
 
 from .complexes import LabeledComplex, SimplicialComplex, _p, l2, submasks, taylor
-from .errors import CapacityError, InvariantViolation
+from .errors import CapacityError
 from .extremal import check_qs
 
 
@@ -370,40 +370,52 @@ def gradient_path_exists(
     return sigma in _reachable_lower(Y, matching, tau)
 
 
-def cell_order_closed_form(q: int, s: int, sigma: int, tau: int) -> bool:
-    """Whether the cell of sigma lies under the cell of tau.
+def gradient_cell_order(q: int, s: int) -> frozenset[tuple[int, int]]:
+    """The cell order by gradient-path reachability: the pairs (sigma,
+    tau) of faces unmatched by ``matching_l2(q, s)``, sigma one dimension
+    below tau and reached from it by an alternating descend/ascend walk."""
+    _, matching = matching_l2(q, s)
+    Y = set(l2(q).faces())
+    matched = matching.matched_faces
+    return frozenset(
+        (sigma, tau)
+        for tau in Y - matched
+        for sigma in _reachable_lower(Y, matching, tau)
+    )
 
-    Inclusion always suffices; when tau is of the base-and-middle form
-    with a single middle vertex, swapping that vertex for (1, 1) and
-    dropping one of (1, 2)..(1, s) also yields a lower cell.
-    """
+
+def _lower_cells(q: int, s: int, tau: int) -> list[int]:
+    """The faces one dimension below tau whose cells lie under tau's
+    cell: its facets, and, when tau is of the base-and-middle form with
+    a single middle vertex, that vertex swapped for (1, 1) with one of
+    (1, 2)..(1, s) dropped."""
+    out = [tau ^ 1 << v for v in range(tau.bit_length()) if tau >> v & 1]
+    cx, base, mid, tail = _regions(q, s)
+    gamma = tau & mid
+    if tau & base == base and tau & ~(base | mid | tail) == 0 and gamma.bit_count() == 1:
+        core = tau ^ gamma | 1 << cx.vertex_bit((1, 1))
+        out += [core ^ 1 << cx.vertex_bit((1, ell)) for ell in range(2, s + 1)]
+    return out
+
+
+def cell_order_closed_form(q: int, s: int, sigma: int, tau: int) -> bool:
+    """Whether the cell of sigma lies under the cell of tau."""
     critical = critical_closed_form_l2(q, s)
     if sigma not in critical or tau not in critical:
         raise ValueError("cell order is defined on critical faces only")
     if sigma.bit_count() != tau.bit_count() - 1:
         raise ValueError("faces must lie in adjacent dimensions")
-    if sigma & tau == sigma:
-        return True
-    cx, base, mid, tail = _regions(q, s)
-    gamma = tau & mid
-    type_b = tau & base == base and tau & ~(base | mid | tail) == 0 and gamma != 0
-    if not type_b or gamma.bit_count() != 1:
-        return False
-    core = (tau ^ gamma) | 1 << cx.vertex_bit((1, 1))
-    for ell in range(2, s + 1):
-        if sigma == core ^ 1 << cx.vertex_bit((1, ell)):
-            return True
-    return False
+    return sigma in _lower_cells(q, s, tau)
 
 
 @dataclass(frozen=True)
 class MorseComplex:
-    """Critical cells grouped by dimension plus the order relation among
-    cells of adjacent dimensions (None when not computed)."""
+    """Critical cells grouped by dimension plus the order relation
+    (sigma, tau) among cells of adjacent dimensions."""
 
     complex: SimplicialComplex
     cells: tuple[tuple[int, ...], ...]
-    order: frozenset[tuple[int, int]] | None
+    order: frozenset[tuple[int, int]]
 
     def counts(self, length: int | None = None) -> tuple[int, ...]:
         out = tuple(len(c) for c in self.cells)
@@ -412,46 +424,22 @@ class MorseComplex:
         return out + (0,) * (length - len(out))
 
 
-def morse_complex(
-    q: int,
-    s: int,
-    with_order: bool | None = None,
-    cross_check: bool = False,
-) -> MorseComplex:
-    """Cells of the pruned complex; the order relation is computed by the
-    closed form (q <= 5 by default) and optionally cross-checked against
-    gradient-path reachability."""
+def morse_complex(q: int, s: int) -> MorseComplex:
+    """Cells of the pruned complex and their order, generated per cell
+    by the closed form."""
     check_qs(q, s)
     if q > 6:
         raise CapacityError(f"morse complex bounded at q <= 6 (got q={q})")
     critical = critical_closed_form_l2(q, s)
-    cx = l2(q)
     top = max(f.bit_count() for f in critical)
     cells = tuple(
         tuple(sorted(f for f in critical if f.bit_count() == d + 1))
         for d in range(top)
     )
-    if with_order is None:
-        with_order = q <= 5
-    order = None
-    if with_order:
-        pairs = set()
-        for d in range(1, top):
-            for tau in cells[d]:
-                for sigma in cells[d - 1]:
-                    if cell_order_closed_form(q, s, sigma, tau):
-                        pairs.add((sigma, tau))
-        if cross_check:
-            _, matching = matching_l2(q, s)
-            Y = set(cx.faces())
-            for d in range(1, top):
-                lower = set(cells[d - 1])
-                for tau in cells[d]:
-                    reached = _reachable_lower(Y, matching, tau) & lower
-                    closed = {s_ for s_ in cells[d - 1] if (s_, tau) in pairs}
-                    if reached != closed:
-                        raise InvariantViolation(
-                            f"cell order mismatch at q={q}, s={s}, tau={tau:b}"
-                        )
-        order = frozenset(pairs)
-    return MorseComplex(cx, cells, order)
+    order = frozenset(
+        (sigma, tau)
+        for tau in chain.from_iterable(cells[1:])
+        for sigma in _lower_cells(q, s, tau)
+        if sigma in critical
+    )
+    return MorseComplex(l2(q), cells, order)

@@ -10,7 +10,6 @@ characterizations exhaustively against the extremal ideals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import product
 from typing import Sequence
 
@@ -253,66 +252,27 @@ def predicted_minimal_square_relations(
 # ---------------------------------------------------------------------------
 
 
-def _predict_taylor_empty(q: int, has, i: int, j: int) -> bool:
-    if i == j:
-        return False
-    if has(j, j) and any(has(*_p(i, a)) for a in range(1, q + 1) if a not in (i, j)):
-        return True
-    if has(i, i) and any(has(*_p(j, b)) for b in range(1, q + 1) if b != i):
-        return True
-    return False
-
-
-def _predict_taylor_one(q: int, s: int, has, i: int, j: int) -> bool:
-    if _predict_taylor_empty(q, has, i, j):
-        return True
-    if i != 1:
-        return False
-    if j == 1:
-        return all(has(1, k) or has(k, k) for k in range(2, s + 1))
-    if j > s:
-        options = []
-        for k in range(2, s + 1):
-            opts = [t for t in (1, j, k) if has(*_p(k, t))]
-            if not opts:
-                options = None
-                break
-            options.append(opts)
-        if options is not None and any(j in opts for opts in options):
-            return True
-        if any(has(*_p(u, j)) for u in range(s + 1, q + 1) if u != j):
-            if all(has(1, k) or has(k, k) for k in range(2, s + 1)):
-                return True
-    if has(j, j):
-        if all(any(has(*_p(k, t)) for t in range(2, q + 1)) for k in range(2, s + 1)):
-            return True
-    return False
-
-
-def _predict_l2_one(q: int, s: int, has, i: int, j: int) -> bool:
-    if i != 1:
-        return False
-    if all(has(*_p(k, j)) for k in range(2, s + 1)):
-        return True
-    if j > s:
-        options = []
-        for k in range(2, s + 1):
-            opts = [t for t in (1, j) if has(*_p(k, t))]
-            if not opts:
-                options = None
-                break
-            options.append(opts)
-        if (
-            options is not None
-            and any(1 in opts for opts in options)
-            and any(j in opts for opts in options)
-        ):
-            return True
-        if all(has(1, k) for k in range(2, s + 1)) and any(
-            has(*_p(j, u)) for u in range(s + 1, q + 1) if u != j
-        ):
-            return True
-    return False
+def l2_face_relations(q: int, s: int) -> frozenset[DivRel]:
+    """The relations that decide divisibility between the pair generators
+    of a face of the pair complex, given (1, {2..s}): for every j,
+    (1, j) | {p(k, j) : k = 2..s}; for j > s also every {p(k, t_k)} with
+    t_k in {1, j} using both values, and {(1, k) : k = 2..s} together
+    with p(j, u) for u > s, u != j."""
+    extremal.check_qs(q, s)
+    idx = _pair_index(q)
+    ks = range(2, s + 1)
+    out = set()
+    for j in range(1, q + 1):
+        out.add(DivRel(idx[(1, j)], {idx[_p(k, j)] for k in ks}))
+        if j <= s:
+            continue
+        for t in product((1, j), repeat=len(ks)):
+            if 1 in t and j in t:
+                out.add(DivRel(idx[(1, j)], {idx[_p(k, tk)] for k, tk in zip(ks, t)}))
+        for u in range(s + 1, q + 1):
+            if u != j:
+                out.add(DivRel(idx[(1, j)], {idx[(1, k)] for k in ks} | {idx[_p(j, u)]}))
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -333,7 +293,9 @@ def verify_square_characterization(
     q: int, s: int | None, scope: str
 ) -> CharacterizationReport:
     """Compare brute-force divisibility of pair generators against the
-    predicted characterization, over every admissible (vertex, face) pair.
+    predicted relations, over every admissible (vertex, face) pair: v's
+    generator is predicted to divide the label of sigma when some
+    predicted relation (v, B) has B inside sigma.
 
     scope "taylor" sweeps all subsets of the pair vertices (q <= 5);
     scope "l2" sweeps faces of the pair complex (q <= 6).
@@ -353,11 +315,14 @@ def verify_square_characterization(
     pmasks = packed_masks(square.generators)
     # with no relation only families 1 and 2 are predicted, and no face of
     # l2 holds the three pairs either needs, so they predict nothing there
-    if s is None:
-        predict = partial(_predict_taylor_empty, q)
+    if scope == "taylor" or s is None:
+        predicted = predicted_square_relations(q, s)
     else:
-        predict = partial(_predict_taylor_one if scope == "taylor" else _predict_l2_one, q, s)
-    bit_of = {p: k for k, p in enumerate(pairs)}
+        predicted = l2_face_relations(q, s)
+    # needs[v] lists the vertex masks of B over the predicted relations (v, B)
+    needs = [[] for _ in pairs]
+    for r in predicted:
+        needs[r.b - 1].append(sum(1 << (k - 1) for k in r.B))
 
     checked = holds = 0
     bad = []
@@ -369,7 +334,7 @@ def verify_square_characterization(
             sigma, v = f ^ low, low.bit_length() - 1
             brute = not pmasks[v] & ~labeled.packed_label(sigma)
             holds += brute
-            if brute != predict(lambda a, b: sigma >> bit_of[a, b] & 1, *pairs[v]):
+            if brute != any(not need & ~sigma for need in needs[v]):
                 if len(bad) < 32:
                     members = tuple(p for k, p in enumerate(pairs) if sigma >> k & 1)
                     bad.append((pairs[v], members))

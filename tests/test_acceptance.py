@@ -157,7 +157,7 @@ def test_criterion_7_characterization_sweeps():
 def test_criterion_8_cell_order():
     with Budget(180) as b:
         got = passed(cli.suite_cell_order())
-        mc = morse_complex(4, 3, with_order=True)
+        mc = morse_complex(4, 3)
         cx = mc.complex
 
         def f(text):

@@ -236,14 +236,39 @@ def test_betti_on_file_without_generators_exits_2(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_cell_order_mismatch_is_an_invariant_violation(monkeypatch):
+def test_cell_order_mismatch_fails_the_suite(monkeypatch, capsys):
     from morseres import cli, morse
-    from morseres.errors import InvariantViolation
 
-    monkeypatch.setattr(morse, "cell_order_closed_form", lambda q, s, sigma, tau: False)
-    with pytest.raises(InvariantViolation, match="cell order mismatch"):
-        morse.morse_complex(3, 3, with_order=True, cross_check=True)
+    monkeypatch.setattr(morse, "_lower_cells", lambda q, s, tau: [])
     assert not all(c["ok"] for c in cli.suite_cell_order())
+    code, text = run(capsys, "verify", "--suite", "cellorder")
+    assert code == 1
+    assert "FAIL  cell order closed form q=3 s=3" in text
+
+
+@pytest.mark.parametrize("power", ["0", "-2"])
+def test_extremal_power_below_one_exits_2(tmp_path, capsys, power):
+    out = tmp_path / "ideal.json"
+    assert main(["extremal", "--q", "3", "--power", power, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("morseres: error: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_relations_limit_above_16_exits_2(tmp_path, capsys):
+    path, out = tmp_path / "xy.json", tmp_path / "relations.json"
+    path.write_text(json.dumps({"schema": 1, "variables": ["x", "y"], "generators": ["x", "y"]}))
+    assert main(["relations", "--ideal", str(path), "--limit", "16"]) == 0
+    capsys.readouterr()
+    assert main(["relations", "--ideal", str(path), "--limit", "17", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("morseres: error: ")
+    assert "--limit" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from morseres.morse import (
     critical_cells,
     critical_closed_form_l2,
     critical_counts,
+    gradient_cell_order,
     gradient_path_exists,
     is_acyclic,
     is_homogeneous,
@@ -308,13 +309,13 @@ def test_cell_order_cases(m43):
         cell_order_closed_form(4, 3, face(cx, "12 13"), square)
 
 
-@pytest.mark.parametrize("q,s", [(3, 3), (4, 3), (4, 4)])
+@pytest.mark.parametrize("q,s", [(q, s) for q in range(3, 7) for s in range(3, q + 1)])
 def test_cell_order_matches_gradient_paths(q, s):
-    morse_complex(q, s, with_order=True, cross_check=True)
+    assert morse_complex(q, s).order == gradient_cell_order(q, s)
 
 
 def test_morse_complex_cells_match_published_lists():
-    mc = morse_complex(4, 3, with_order=True)
+    mc = morse_complex(4, 3)
     cx = mc.complex
 
     def group(texts):
@@ -359,10 +360,11 @@ def test_euler_characteristic_matches_ambient_complex():
             assert euler_c == euler_f
 
 
-def test_morse_complex_order_skipped_for_large_q():
-    mc = morse_complex(6, 3)
-    assert mc.order is None
-    assert sum(mc.counts()) == len(critical_closed_form_l2(6, 3))
+def test_morse_complex_order_sizes_at_q6():
+    for s, pairs in ((3, 31719), (6, 246385)):
+        mc = morse_complex(6, s)
+        assert len(mc.order) == pairs
+        assert sum(mc.counts()) == len(critical_closed_form_l2(6, s))
 
 
 def naive_partition(faces, spec):

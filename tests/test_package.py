@@ -1,4 +1,6 @@
+import re
 import types
+from pathlib import Path
 
 import morseres
 
@@ -14,3 +16,10 @@ def test_star_import_binds_no_submodule():
     namespace = {}
     exec("from morseres import *", namespace)
     assert not any(isinstance(v, types.ModuleType) for v in namespace.values())
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    exec(blocks[0], {})
