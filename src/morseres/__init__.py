@@ -38,7 +38,6 @@ from .morse import (
     critical_closed_form_l2,
     critical_counts,
     gradient_cell_order,
-    gradient_path_exists,
     is_acyclic,
     is_homogeneous,
     matching_l2,

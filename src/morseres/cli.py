@@ -331,14 +331,19 @@ def suite_upper_bound(trials: int = 100, seed: int = 0) -> list[dict]:
     return [_check(f"Betti bound over {trials} random ideals", violations, 0)]
 
 
-def suite_cell_order() -> list[dict]:
+def suite_cell_order(qmax: int | None = None) -> list[dict]:
+    pairs = (
+        ((3, 3), (4, 3), (4, 4), (5, 3))
+        if qmax is None
+        else [(q, s) for q in range(3, qmax + 1) for s in range(3, q + 1)]
+    )
     return [
         _check(
             f"cell order closed form q={q} s={s}",
             morse_mod.morse_complex(q, s).order == morse_mod.gradient_cell_order(q, s),
             True,
         )
-        for q, s in ((3, 3), (4, 3), (4, 4), (5, 3))
+        for q, s in pairs
     ]
 
 
@@ -372,10 +377,16 @@ SUITES = {
     "minimality": lambda args: suite_minimality(),
     "pd": lambda args: suite_pd(args.qmax or 6),
     "characterization": lambda args: suite_characterization(args.qmax or 5),
-    "cellorder": lambda args: suite_cell_order(),
+    "cellorder": lambda args: suite_cell_order(args.qmax),
     "upperbound": lambda args: suite_upper_bound(args.trials, args.seed),
     "firstpower": lambda args: suite_first_power(),
 }
+
+# The largest --qmax of each suite that takes one, checked before any
+# work: the engine and pd sweeps list the faces of l2(q), which the face
+# walk bound allows up to q = 7; the characterization sweeps and
+# morse_complex stop at q = 6.
+QMAX = {"engine": 7, "pd": 7, "characterization": 6, "cellorder": 6}
 
 
 def _print_checks(checks: list[dict]) -> bool:
@@ -391,11 +402,16 @@ def _print_checks(checks: list[dict]) -> bool:
 def _check_suite_args(args, suites) -> None:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    if args.qmax is not None and args.qmax < 3:
+    if args.qmax is None:
+        return
+    if args.qmax < 3:
         raise ValueError(f"--qmax must be at least 3, got {args.qmax}")
-    # the characterization sweeps stop at q = 6 (taylor and audits lower)
-    if args.qmax is not None and args.qmax > 6 and "characterization" in suites:
-        raise ValueError(f"--qmax must be at most 6 for suite characterization, got {args.qmax}")
+    bounded = [name for name in suites if name in QMAX]
+    if not bounded:
+        raise ValueError(f"suite {suites[0]} takes no --qmax")
+    name = min(bounded, key=QMAX.__getitem__)
+    if args.qmax > QMAX[name]:
+        raise ValueError(f"--qmax must be at most {QMAX[name]} for suite {name}, got {args.qmax}")
 
 
 def cmd_verify(args) -> int:

@@ -9,10 +9,9 @@ cell of the resolution).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import chain, product
+from functools import lru_cache
+from itertools import product
 from typing import Iterable, Mapping
 
 from .complexes import LabeledComplex, SimplicialComplex, _p, l2, submasks, taylor
@@ -38,37 +37,32 @@ class MatchingSpec:
                 )
 
 
-@dataclass(frozen=True)
 class Matching:
-    """Directed matched edges (bigger, smaller), each face used once."""
+    """Directed matched edges (bigger, smaller), each face used once,
+    stored as the map ``up`` from each smaller face to its bigger
+    partner, in the order the edges were given."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("up",)
 
-    def __post_init__(self):
-        if any(small & big != small or (big ^ small).bit_count() != 1
-               for big, small in self.pairs):
-            raise ValueError("matched edge must drop exactly one vertex")
-        if len(set(chain.from_iterable(self.pairs))) != 2 * len(self.pairs):
+    def __init__(self, pairs: Iterable[tuple[int, int]]):
+        up: dict[int, int] = {}
+        count = 0
+        for big, small in pairs:
+            if small & big != small or (big ^ small).bit_count() != 1:
+                raise ValueError("matched edge must drop exactly one vertex")
+            up[small] = big
+            count += 1
+        bigger = set(up.values())
+        if not len(up) == len(bigger) == count or not bigger.isdisjoint(up):
             raise ValueError("a face occurs in more than one matched edge")
+        self.up = up
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.up)
 
-    @cached_property
-    def up(self) -> dict[int, int]:
-        return {small: big for big, small in self.pairs}
-
-    @cached_property
-    def down(self) -> dict[int, int]:
-        return {big: small for big, small in self.pairs}
-
-    @cached_property
-    def matched_faces(self) -> frozenset[int]:
-        out = set()
-        for big, small in self.pairs:
-            out.add(big)
-            out.add(small)
-        return frozenset(out)
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple((big, small) for small, big in self.up.items())
 
 
 def _containment_table(parts: list[int], width: int) -> list[int]:
@@ -116,9 +110,7 @@ def build_matching(faces: Iterable[int], spec: MatchingSpec) -> Matching:
         )
     bigs = sorted(down)
     bigs.sort(key=int.bit_count)
-    pairs = tuple(zip(bigs, map(down.__getitem__, bigs)))
-    del down, bigs
-    return Matching(pairs)
+    return Matching(zip(bigs, map(down.__getitem__, bigs)))
 
 
 def critical_cells(faces: Iterable[int], spec: MatchingSpec) -> frozenset[int]:
@@ -151,7 +143,7 @@ def is_acyclic(faces: Iterable[int], matching: Matching) -> bool:
     A bigger partner whose smaller face is not a face has no incoming
     edge, so it lies on no cycle and is left out.
     """
-    up = {small: big for big, small in matching.pairs}
+    up = matching.up
     inside = up.keys() & faces
     # rebuilt only when an edge drops out, so a matching on the faces
     # never holds two up maps at once
@@ -202,7 +194,7 @@ def is_acyclic(faces: Iterable[int], matching: Matching) -> bool:
 def is_homogeneous(matching: Matching, labels: LabeledComplex) -> bool:
     """Every matched edge joins faces with equal lcm labels."""
     label = labels.packed_label
-    return all(label(big) == label(small) for big, small in matching.pairs)
+    return all(label(big) == label(small) for small, big in matching.up.items())
 
 
 # ---------------------------------------------------------------------------
@@ -226,25 +218,20 @@ def _pivot_faces(q: int, s: int):
     return type1, type2, type3
 
 
-def matching_l2(
-    q: int, s: int, shuffle_seed: int | None = None
-) -> tuple[MatchingSpec, Matching]:
+def matching_l2(q: int, s: int) -> tuple[MatchingSpec, Matching]:
     """The matching that prunes the pair complex given (1, {2..s}).
 
     Pivot faces come in three types ordered type1 < type2 < type3; ties
-    within a type are broken by sorted vertex lists (or shuffled when a
-    seed is supplied; the critical set does not depend on the choice).
-    The chosen vertex is always the pair (1, j) for the face's j.
+    within a type are broken by sorted vertex lists (the critical set
+    does not depend on the choice).  The chosen vertex is always the
+    pair (1, j) for the face's j.
     """
     check_qs(q, s)
     cx = l2(q)
     order = []
     omega = {}
     for group in _pivot_faces(q, s):
-        group = sorted(group, key=lambda fj: tuple(sorted(fj[0])))
-        if shuffle_seed is not None:
-            random.Random(shuffle_seed * 1009 + len(order)).shuffle(group)
-        for pairs, j in group:
+        for pairs, j in sorted(group, key=lambda fj: tuple(sorted(fj[0]))):
             mask = cx.mask(pairs)
             order.append(mask)
             omega[mask] = cx.vertex_bit((1, j))
@@ -321,67 +308,32 @@ def prune_taylor_first_power(q: int, s: int) -> FirstPowerPrune:
 # ---------------------------------------------------------------------------
 
 
-def _reachable_lower(Y: set[int], matching: Matching, tau: int) -> set[int]:
-    """Critical faces one dimension down reachable from tau by an
-    alternating descend/ascend walk."""
-    up = matching.up
-    down = matching.down
-    matched = matching.matched_faces
-    found: set[int] = set()
-    seen_upper = {tau}
-    seen_lower: set[int] = set()
-    frontier = [tau]
-    while frontier:
-        nxt = []
-        for big in frontier:
-            partner = down.get(big)
-            m = big
-            while m:
-                low = m & -m
-                m ^= low
-                sub = big ^ low
-                if sub == partner or sub not in Y or sub in seen_lower:
-                    continue
-                seen_lower.add(sub)
-                if sub not in matched:
-                    found.add(sub)
-                    continue
-                upper = up.get(sub)
-                if upper is not None and upper not in seen_upper:
-                    seen_upper.add(upper)
-                    nxt.append(upper)
-        frontier = nxt
-    return found
-
-
-def gradient_path_exists(
-    faces: Iterable[int], matching: Matching, tau: int, sigma: int
-) -> bool:
-    """Reachability of sigma from tau in the reversed-matching digraph;
-    a plain inclusion counts as a length-one path."""
-    Y = set(faces)
-    if tau not in Y or sigma not in Y:
-        raise ValueError("endpoints must be faces of the matched set")
-    matched = matching.matched_faces
-    if tau in matched or sigma in matched:
-        raise ValueError("gradient-path endpoints must be critical")
-    if sigma.bit_count() != tau.bit_count() - 1:
-        raise ValueError("target must be one dimension below the source")
-    return sigma in _reachable_lower(Y, matching, tau)
-
-
 def gradient_cell_order(q: int, s: int) -> frozenset[tuple[int, int]]:
     """The cell order by gradient-path reachability: the pairs (sigma,
     tau) of faces unmatched by ``matching_l2(q, s)``, sigma one dimension
-    below tau and reached from it by an alternating descend/ascend walk."""
+    below tau and reached from it by a walk that drops to a facet and
+    climbs that facet's matched edge, over and over."""
     _, matching = matching_l2(q, s)
-    Y = set(l2(q).faces())
-    matched = matching.matched_faces
-    return frozenset(
-        (sigma, tau)
-        for tau in Y - matched
-        for sigma in _reachable_lower(Y, matching, tau)
-    )
+    up = matching.up
+    bigger = set(up.values())
+    order = set()
+    for tau in l2(q).faces():
+        # a single vertex has only the empty face below it
+        if tau in up or tau in bigger or tau.bit_count() < 2:
+            continue
+        seen = {tau}
+        stack = [tau]
+        while stack:
+            big = stack.pop()
+            for facet in [big ^ 1 << v for v in range(big.bit_length()) if big >> v & 1]:
+                upper = up.get(facet)
+                if upper is None:
+                    if facet not in bigger:
+                        order.add((facet, tau))
+                elif upper not in seen:
+                    seen.add(upper)
+                    stack.append(upper)
+    return frozenset(order)
 
 
 def _lower_cells(q: int, s: int, tau: int) -> list[int]:
@@ -438,7 +390,7 @@ def morse_complex(q: int, s: int) -> MorseComplex:
     )
     order = frozenset(
         (sigma, tau)
-        for tau in chain.from_iterable(cells[1:])
+        for tau in critical
         for sigma in _lower_cells(q, s, tau)
         if sigma in critical
     )

@@ -246,6 +246,13 @@ def test_cell_order_mismatch_fails_the_suite(monkeypatch, capsys):
     assert "FAIL  cell order closed form q=3 s=3" in text
 
 
+def test_verify_cell_order_qmax_compares_every_pair(capsys):
+    code, text = run(capsys, "verify", "--suite", "cellorder", "--qmax", "6")
+    assert code == 0
+    assert text.count("PASS") == 10
+    assert "PASS  cell order closed form q=6 s=6" in text
+
+
 @pytest.mark.parametrize("power", ["0", "-2"])
 def test_extremal_power_below_one_exits_2(tmp_path, capsys, power):
     out = tmp_path / "ideal.json"
@@ -283,6 +290,10 @@ def test_relations_limit_above_16_exits_2(tmp_path, capsys):
         ["report", "--trials", "1", "--qmax", "2"],
         ["verify", "--suite", "characterization", "--qmax", "7"],
         ["report", "--trials", "1", "--qmax", "7"],
+        ["verify", "--suite", "engine", "--qmax", "8"],
+        ["verify", "--suite", "pd", "--qmax", "8"],
+        ["verify", "--suite", "table1", "--qmax", "4"],
+        ["verify", "--suite", "cellorder", "--qmax", "7"],
     ],
 )
 def test_trials_below_one_exit_2(tmp_path, capsys, argv):

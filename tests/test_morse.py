@@ -10,13 +10,13 @@ from morseres.morse import (
     Matching,
     MatchingSpec,
     _buckets,
+    _pivot_faces,
     build_matching,
     cell_order_closed_form,
     critical_cells,
     critical_closed_form_l2,
     critical_counts,
     gradient_cell_order,
-    gradient_path_exists,
     is_acyclic,
     is_homogeneous,
     matching_l2,
@@ -92,7 +92,8 @@ def test_matched_edges_in_first_group(m43):
 def test_critical_cells_formula_equals_incidence(m43):
     spec, matching, cx = m43
     crit = critical_cells(cx.faces(), spec)
-    assert crit == frozenset(cx.faces()) - matching.matched_faces
+    matched = {f for pair in matching.pairs for f in pair}
+    assert crit == frozenset(cx.faces()) - matched
     assert crit == critical_closed_form_l2(4, 3)
 
 
@@ -127,6 +128,13 @@ def test_matching_validation():
         Matching(((0b011, 0b001), (0b101, 0b001)))  # smaller face used twice
     with pytest.raises(ValueError):
         Matching(((0b111, 0b011), (0b011, 0b001)))  # bigger in one edge, smaller in another
+
+
+def test_matching_from_one_shot_iterator_keeps_pair_order():
+    pairs = [(0b1101, 0b1001), (0b110, 0b100), (0b011, 0b001)]
+    matching = Matching(iter(pairs))
+    assert matching.pairs == tuple(pairs)
+    assert len(matching) == 3
 
 
 def test_is_acyclic_detects_cyclic_matching():
@@ -200,13 +208,19 @@ def test_pivot_list_contains_third_type_for_larger_q():
 
 
 def test_shuffled_pivot_order_keeps_critical_set():
-    cx = l2(5)
-    faces = list(cx.faces())
+    spec, _ = matching_l2(5, 3)
+    faces = list(spec.complex.faces())
     baseline = critical_closed_form_l2(5, 3)
     for seed in range(4):
-        spec, matching = matching_l2(5, 3, shuffle_seed=seed)
-        assert critical_cells(faces, spec) == baseline
-        assert is_acyclic(faces, matching)
+        # shuffle the pivots within each type, keeping type1 < type2 < type3
+        order = []
+        for group in _pivot_faces(5, 3):
+            chunk = list(spec.order[len(order):len(order) + len(group)])
+            random.Random(seed * 1009 + len(order)).shuffle(chunk)
+            order += chunk
+        shuffled = MatchingSpec(spec.complex, tuple(order), spec.omega)
+        assert critical_cells(faces, shuffled) == baseline
+        assert is_acyclic(faces, build_matching(faces, shuffled))
 
 
 def test_matched_edges_touching_first_star(m43):
@@ -273,25 +287,15 @@ def test_first_power_prune():
 
 def test_gradient_paths_from_worked_example(m43):
     spec, matching, cx = m43
-    Y = list(cx.faces())
+    order = gradient_cell_order(4, 3)
     square = face(cx, "12 13 23")
     pyramid = face(cx, "12 13 14 23")
-    assert gradient_path_exists(Y, matching, square, face(cx, "13 23"))
-    assert gradient_path_exists(Y, matching, square, face(cx, "11 12"))
-    assert gradient_path_exists(Y, matching, square, face(cx, "11 13"))
-    assert not gradient_path_exists(Y, matching, square, face(cx, "11 14"))
-    assert gradient_path_exists(Y, matching, pyramid, face(cx, "11 12 14"))
-    assert gradient_path_exists(Y, matching, pyramid, face(cx, "11 13 14"))
-
-
-def test_gradient_path_validation(m43):
-    spec, matching, cx = m43
-    Y = list(cx.faces())
-    square = face(cx, "12 13 23")
-    with pytest.raises(ValueError):
-        gradient_path_exists(Y, matching, square, face(cx, "12 13"))  # matched
-    with pytest.raises(ValueError):
-        gradient_path_exists(Y, matching, square, face(cx, "11"))  # wrong dim
+    assert (face(cx, "13 23"), square) in order
+    assert (face(cx, "11 12"), square) in order
+    assert (face(cx, "11 13"), square) in order
+    assert (face(cx, "11 14"), square) not in order
+    assert (face(cx, "11 12 14"), pyramid) in order
+    assert (face(cx, "11 13 14"), pyramid) in order
 
 
 def test_cell_order_cases(m43):

@@ -11,7 +11,7 @@ import random
 from morseres.complexes import l2, submasks, taylor
 from morseres.morse import (
     Matching,
-    _reachable_lower,
+    gradient_cell_order,
     is_acyclic,
     matching_l2,
     prune_taylor_first_power,
@@ -22,8 +22,7 @@ def full_digraph(faces, matching):
     """All edges of the modified digraph: inclusions pointing down,
     matched edges reversed."""
     Y = set(faces)
-    up = matching.up
-    down = matching.down
+    down = {big: small for big, small in matching.pairs}
     succ = {f: [] for f in Y}
     for f in Y:
         m = f
@@ -37,7 +36,6 @@ def full_digraph(faces, matching):
                 succ[sub].append(f)
             else:
                 succ[f].append(sub)
-    assert all(up.get(small) == big for big, small in matching.pairs)
     return succ
 
 
@@ -193,16 +191,19 @@ def test_acyclicity_agrees_on_production_matchings():
 
 
 def test_gradient_reachability_agrees_with_full_walk():
-    for q, s in ((3, 3), (4, 3)):
-        cx = l2(q)
-        faces = list(cx.faces())
+    for q, s in ((q, s) for q in range(3, 6) for s in range(3, q + 1)):
+        faces = list(l2(q).faces())
         _, matching = matching_l2(q, s)
         succ = full_digraph(faces, matching)
-        critical = sorted(set(faces) - matching.matched_faces)
+        matched = {f for pair in matching.pairs for f in pair}
+        critical = sorted(set(faces) - matched)
+        lower = {}
+        for sigma, tau in gradient_cell_order(q, s):
+            lower.setdefault(tau, set()).add(sigma)
         for tau in critical:
             if tau.bit_count() < 2:
                 continue
-            fast = _reachable_lower(set(faces), matching, tau)
+            fast = lower.get(tau, set())
             wander = reachable_anywhere(succ, tau)
             slow = {
                 f
