@@ -48,7 +48,6 @@ from .betti import (
     BettiTable,
     graded_betti,
     graded_betti_via_interval,
-    lcm_lattice,
     pd_formula,
     projective_dimension,
     total_betti,

@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .errors import CapacityError, NonMinimalIdealError
 from .extremal import check_qs
-from .monomials import Monomial, MonomialIdeal, packed_masks, packed_to_monomial
+from .monomials import Monomial, MonomialIdeal, VariableSet, packed_masks, packed_to_monomial
 
 GF2 = "gf2"
 RATIONAL = "rational"
@@ -135,11 +135,14 @@ def homology_dims(faces: Sequence[int], field: str = GF2) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class BettiTable:
-    """Graded Betti numbers over the lcm lattice."""
+    """Graded Betti numbers over the lcm lattice.  Each entry is
+    (i, packed lcm, beta_i) with the lcm packed as by `packed_masks`
+    over `ring`; entries are in plain tuple order."""
 
+    ring: VariableSet
     field: str
     q: int
-    entries: tuple[tuple[int, Monomial, int], ...]
+    entries: tuple[tuple[int, int, int], ...]
 
     def total(self, length: int | None = None) -> tuple[int, ...]:
         acc: dict[int, int] = {}
@@ -154,6 +157,13 @@ class BettiTable:
     def projective_dimension(self) -> int:
         return max(i for i, _, v in self.entries if v)
 
+    def graded_rows(self) -> list[tuple[int, Monomial, int]]:
+        """The entries with each lcm as a monomial, ordered by i, then
+        the lcm's degree, then its exponent vector."""
+        rows = [(i, packed_to_monomial(m, self.ring), v) for i, m, v in self.entries]
+        rows.sort(key=lambda e: (e[0], e[1].degree, e[1].exponents))
+        return rows
+
     def to_dict(self) -> dict:
         return {
             "schema": 1,
@@ -162,7 +172,7 @@ class BettiTable:
             "total": list(self.total()),
             "projectiveDimension": self.projective_dimension,
             "graded": [
-                {"degree": i, "lcm": str(m), "betti": v} for i, m, v in self.entries
+                {"degree": i, "lcm": str(m), "betti": v} for i, m, v in self.graded_rows()
             ],
         }
 
@@ -186,14 +196,6 @@ def _lattice(gmasks: Sequence[int]) -> set[int]:
     for g in gmasks:
         lattice |= {m | g for m in lattice}
     return lattice
-
-
-def lcm_lattice(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
-    """Distinct lcms of generator subsets, 1 included, ordered by
-    (degree, exponents)."""
-    elems = [packed_to_monomial(m, ideal.ring) for m in _lattice(packed_masks(ideal.generators))]
-    elems.sort(key=lambda m: (m.degree, m.exponents))
-    return tuple(elems)
 
 
 def _divisor_faces(m: int, gmasks: Sequence[int], verts: Sequence[int], need: int) -> list[int]:
@@ -257,9 +259,8 @@ def graded_betti(
             dims = enumerate(homology_dims(_divisor_faces(m, gmasks, support, 0), field))
         else:
             dims = ((k, len(critical)) for k in sizes)
-        entries.extend((i, packed_to_monomial(m, ideal.ring), v) for i, v in dims if v)
-    entries.sort(key=lambda e: (e[0], e[1].degree, e[1].exponents))
-    return BettiTable(field, ideal.q, tuple(entries))
+        entries.extend((i, m, v) for i, v in dims if v)
+    return BettiTable(ideal.ring, field, ideal.q, tuple(sorted(entries)))
 
 
 def graded_betti_via_interval(
@@ -290,13 +291,8 @@ def graded_betti_via_interval(
                 stack.append(
                     (chain | 1 << k, tuple(t for t in candidates if t > k and k in below[t]))
                 )
-        dims = homology_dims(chains, field)
-        monomial = packed_to_monomial(m, ideal.ring)
-        for i, v in enumerate(dims):
-            if v:
-                entries.append((i, monomial, v))
-    entries.sort(key=lambda e: (e[0], e[1].degree, e[1].exponents))
-    return BettiTable(field, ideal.q, tuple(entries))
+        entries.extend((i, m, v) for i, v in enumerate(homology_dims(chains, field)) if v)
+    return BettiTable(ideal.ring, field, ideal.q, tuple(sorted(entries)))
 
 
 def total_betti(

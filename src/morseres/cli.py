@@ -161,7 +161,7 @@ def cmd_betti(args) -> int:
     if not args.graded:
         payload.pop("graded")
     rows = [["degree", "lcm", "betti"]] + [
-        [i, str(m), v] for i, m, v in table.entries
+        [i, str(m), v] for i, m, v in table.graded_rows()
     ]
     _emit(payload, args, csv_rows=rows)
     return 0

@@ -10,7 +10,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError
-from .monomials import Monomial, MonomialIdeal, packed_masks, packed_to_monomial
+from .monomials import MonomialIdeal, packed_masks
 
 # bound on the subsets walked to list a complex's faces (sum of 2^|facet|);
 # l2(7) walks 2,098,048
@@ -155,13 +155,12 @@ class LabeledComplex:
     with the lcm of their vertex labels, computed lazily as the OR of the
     generators' packed masks."""
 
-    __slots__ = ("complex", "ideal", "_masks", "_cache")
+    __slots__ = ("complex", "_masks", "_cache")
 
     def __init__(self, complex: SimplicialComplex, ideal: MonomialIdeal):
         if len(ideal.generators) != len(complex.vertices):
             raise ValueError("need exactly one generator per vertex")
         self.complex = complex
-        self.ideal = ideal
         self._masks = packed_masks(ideal.generators)
         # the empty face is labeled 1 (mask 0), which ends the recursion
         self._cache: dict[int, int] = {0: 0}
@@ -174,6 +173,3 @@ class LabeledComplex:
             got = self.packed_label(face ^ low) | self._masks[low.bit_length() - 1]
             self._cache[face] = got
         return got
-
-    def label(self, face: int) -> Monomial:
-        return packed_to_monomial(self.packed_label(face), self.ideal.ring)

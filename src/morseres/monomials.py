@@ -271,6 +271,9 @@ class MonomialIdeal:
         missing = [k for k in ("variables", "generators") if k not in data]
         if missing:
             raise ValueError(f"ideal is missing {', '.join(map(repr, missing))}")
+        for k in ("variables", "generators"):
+            if not isinstance(data[k], list) or not all(isinstance(x, str) for x in data[k]):
+                raise ValueError(f"ideal {k!r} must be a list of strings")
         ring = VariableSet(data["variables"])
         return cls(ring, [ring.parse(g) for g in data["generators"]])
 

@@ -106,7 +106,7 @@ def test_criterion_4_minimality_certificate():
                     spec.complex, power_generators(q, single_relation(s), 2)
                 )
                 cells = critical_cells(faces, spec)
-                assert len({labels.label(f) for f in cells}) == len(cells), (q, s)
+                assert len({labels.packed_label(f) for f in cells}) == len(cells), (q, s)
     report(4, "critical cells carry pairwise-distinct lcm labels for 3<=s<=q<=5", b)
 
 

@@ -15,16 +15,15 @@ from morseres.betti import (
     graded_betti,
     graded_betti_via_interval,
     homology_dims,
-    lcm_lattice,
     pd_formula,
     projective_dimension,
     total_betti,
 )
-from morseres.complexes import SimplicialComplex
+from morseres.complexes import LabeledComplex, SimplicialComplex, l2
 from morseres.errors import CapacityError, NonMinimalIdealError
 from morseres.extremal import extremal_generators, power_generators, single_relation
 from morseres.monomials import MonomialIdeal, VariableSet, lcm_of, packed_masks
-from morseres.morse import critical_counts
+from morseres.morse import critical_closed_form_l2, critical_counts
 from morseres.sampling import random_ideals
 
 R1 = VariableSet("abcdefg")
@@ -143,19 +142,18 @@ def test_graded_entries_locate_first_syzygy():
     ideal = MonomialIdeal(ring, [ring.parse("x"), ring.parse("y")])
     table = graded_betti(ideal)
     assert table.total() == (2, 1)
-    degrees = {(i, str(m)): v for i, m, v in table.entries}
+    degrees = {(i, str(m)): v for i, m, v in table.graded_rows()}
     assert degrees == {(0, "x"): 1, (0, "y"): 1, (1, "xy"): 1}
 
 
 def test_lcm_lattice_closure():
-    lattice = lcm_lattice(I1)
-    elems = set(lattice)
-    assert I1.ring.one() in elems
-    for g in I1.generators:
-        assert g in elems
+    gmasks = packed_masks(I1.generators)
+    lattice = _lattice(gmasks)
+    assert 0 in lattice
+    assert set(gmasks) <= lattice
     for a in lattice:
         for b in lattice:
-            assert a.lcm(b) in elems
+            assert a | b in lattice
 
 
 @pytest.mark.parametrize(
@@ -165,11 +163,11 @@ def test_lcm_lattice_closure():
 )
 def test_lcm_lattice_is_every_subset_lcm(ideal):
     gens = ideal.generators
-    brute = {
+    brute = packed_masks([
         lcm_of([gens[k] for k in range(len(gens)) if mask >> k & 1], ring=ideal.ring)
         for mask in range(1 << len(gens))
-    }
-    assert lcm_lattice(ideal) == tuple(sorted(brute, key=lambda m: (m.degree, m.exponents)))
+    ])
+    assert _lattice(packed_masks(gens)) == set(brute)
 
 
 def test_oracle_self_agreement_small_instances():
@@ -218,7 +216,8 @@ def test_pd_formula_values():
 
 def rank_route_entries(ideal, field):
     """Graded Betti entries by ranks on every face of every strict-divisor
-    subcomplex, with lcms taken on monomials rather than masks."""
+    subcomplex, with lcms taken on monomials rather than masks and packed
+    only for the result."""
     q = ideal.q
     lcms = {
         face: lcm_of((ideal.generators[k] for k in range(q) if face >> k & 1), ideal.ring)
@@ -227,9 +226,9 @@ def rank_route_entries(ideal, field):
     entries = []
     for m in set(lcms.values()) - {ideal.ring.one()}:
         faces = [face for face, l in lcms.items() if l != m and l.divides(m)]
-        entries.extend((i, m, v) for i, v in enumerate(homology_dims(faces, field)) if v)
-    entries.sort(key=lambda e: (e[0], e[1].degree, e[1].exponents))
-    return tuple(entries)
+        packed = packed_masks([m])[0]
+        entries.extend((i, packed, v) for i, v in enumerate(homology_dims(faces, field)) if v)
+    return tuple(sorted(entries))
 
 
 def test_collapse_falls_back_when_critical_faces_span_two_cardinalities():
@@ -257,12 +256,27 @@ def test_collapse_matches_rank_route_on_random_ideals_and_squares():
                 assert graded_betti(case, field).entries == rank_route_entries(case, field), case
 
 
+def assert_entries_are_critical_labels(table, q, s):
+    """The resolution by the critical cells is minimal, so beta_{i,m} is
+    the number of critical cells of dimension i with label m: here each
+    (i, m) is carried by exactly one cell."""
+    labels = LabeledComplex(l2(q), power_generators(q, single_relation(s), 2))
+    cells = sorted(
+        (f.bit_count() - 1, labels.packed_label(f)) for f in critical_closed_form_l2(q, s)
+    )
+    assert cells == [(i, m) for i, m, _ in table.entries], (q, s)
+    assert {v for _, _, v in table.entries} == {1}, (q, s)
+
+
 @pytest.mark.parametrize("s", [3, 4, 5])
 @pytest.mark.parametrize("field", ["gf2", "rational"])
 def test_extremal_square_q5_matches_cell_counts(s, field):
-    table = graded_betti(power_generators(5, single_relation(s), 2), field)
-    assert table.total() == critical_counts(5, s)
-    assert table.projective_dimension == pd_formula(5, s)[1]
+    # every q from s to 5, so the parameters cover each 3 <= s <= q <= 5
+    for q in range(s, 6):
+        table = graded_betti(power_generators(q, single_relation(s), 2), field)
+        assert table.total() == critical_counts(q, s)
+        assert table.projective_dimension == pd_formula(q, s)[1]
+        assert_entries_are_critical_labels(table, q, s)
 
 
 @pytest.mark.parametrize("s", [3, 4, 5])
@@ -280,4 +294,5 @@ def test_extremal_square_q6_matches_cell_counts_within_budget(s):
     elapsed = time.perf_counter() - start
     assert table.total() == critical_counts(6, s)
     assert table.projective_dimension == pd_formula(6, s)[1]
+    assert_entries_are_critical_labels(table, 6, s)
     assert elapsed < 60, f"runtime {elapsed:.1f}s exceeds budget 60s"

@@ -226,14 +226,62 @@ def test_face_listing_above_the_walk_bound_exits_2(capsys, kind, q):
     assert captured.err.count("\n") == 1
 
 
-def test_betti_on_file_without_generators_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "document, field",
+    [
+        ({"schema": 1, "variables": ["x", "y"]}, "generators"),
+        ({"schema": 1, "variables": 5, "generators": ["x"]}, "variables"),
+        ({"schema": 1, "variables": ["x", "y"], "generators": 5}, "generators"),
+        ({"schema": 1, "variables": ["x", "y"], "generators": [3]}, "generators"),
+        ({"schema": 1, "variables": [1, 2], "generators": ["x"]}, "variables"),
+    ],
+    ids=["no-generators", "variables-int", "generators-int", "generator-int", "variable-ints"],
+)
+def test_betti_on_file_without_generators_exits_2(tmp_path, capsys, document, field):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"schema": 1, "variables": ["x", "y"]}))
-    assert main(["betti", "--ideal", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("morseres: error: ")
-    assert "generators" in captured.err
-    assert "Traceback" not in captured.err
+    path.write_text(json.dumps(document))
+    for command in ("betti", "relations"):
+        assert main([command, "--ideal", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("morseres: error: ")
+        assert field in captured.err
+        assert captured.err.count("\n") == 1
+
+
+# SHA-256 of `betti --graded` stdout; the minimalized I2 square has lcms
+# with exponent 2, so the rows' (degree, exponents) order is pinned where
+# exponents matter
+GRADED_DIGESTS = {
+    ("extremal", "gf2", "json"): "1b8730e56116f71efaf73e57251d71ccb1dc02adccd949244aeef8ae587f35ec",
+    ("extremal", "gf2", "csv"): "aa71f4fce22150dbee6bdba96b2cc426d47581b7c9bd625504c8223843568684",
+    ("extremal", "rational", "json"): "184dd537a08691125c5d461a8fe0777456cedcbb2cc20450bf064bd9a6ce08a7",
+    ("extremal", "rational", "csv"): "aa71f4fce22150dbee6bdba96b2cc426d47581b7c9bd625504c8223843568684",
+    ("I2-square", "gf2", "json"): "99f86ad4268a937d09b66df9f6b45fb60824dee16a9b203655a374f5b78d787f",
+    ("I2-square", "gf2", "csv"): "d76bc9502a27121d75da13e9bf176d6962e6f07ff1c6c6aced74bfc09c42bcf5",
+    ("I2-square", "rational", "json"): "87407ad6d3c2300ab60352c61db69eb59d2d553f76a6b6a201ea5ba21f1b8d74",
+    ("I2-square", "rational", "csv"): "d76bc9502a27121d75da13e9bf176d6962e6f07ff1c6c6aced74bfc09c42bcf5",
+}
+
+
+@pytest.mark.parametrize("name, field, fmt", sorted(GRADED_DIGESTS))
+def test_betti_graded_bytes(tmp_path, capsys, name, field, fmt):
+    from morseres.extremal import power_generators, single_relation
+    from morseres.monomials import MonomialIdeal, VariableSet
+
+    ring = VariableSet("abcdef")
+    ideals = {
+        "extremal": power_generators(4, single_relation(3), 2),
+        "I2-square": MonomialIdeal(
+            ring, [ring.parse(t) for t in ("ab", "bcd", "aef", "ce")]
+        ).power(2).minimalize(),
+    }
+    path = tmp_path / "ideal.json"
+    ideals[name].save(path)
+    code, text = run(capsys, "betti", "--ideal", str(path), "--field", field,
+                     "--graded", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == GRADED_DIGESTS[name, field, fmt]
 
 
 def test_cell_order_mismatch_fails_the_suite(monkeypatch, capsys):

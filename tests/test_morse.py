@@ -250,7 +250,7 @@ def test_minimality_gap_under_extremal_labels():
                 while m:
                     low = m & -m
                     m ^= low
-                    assert labels.label(f) != labels.label(f ^ low)
+                    assert labels.packed_label(f) != labels.packed_label(f ^ low)
 
 
 def test_max_critical_cardinality_formula():
