@@ -2,7 +2,10 @@
 
 Graded Betti numbers are read off reduced homology of the subcomplex of
 the full generator simplex whose lcm labels strictly divide a fixed lcm
-value m.  Each such subcomplex is first collapsed by sequential element
+value m.  A face's lcm falls short of m iff the face avoids the set M_t of
+generators carrying some top exponent bit t of m; a vertex in no minimal
+M_t lies in every facet, so the subcomplex is a cone and m is skipped.
+Each remaining subcomplex is first collapsed by sequential element
 matchings: for each support vertex v in index order, a surviving face F
 is paired with F + v when both survive.  A sequence of element matchings
 is acyclic (Jonsson, *Simplicial Complexes of Graphs*), so the survivors
@@ -240,6 +243,59 @@ def _critical_faces(m: int, gmasks: Sequence[int]) -> list[int]:
     return critical
 
 
+def _columns(gmasks: Sequence[int]) -> dict[int, int]:
+    """For each bit set in some packed mask, keyed by that bit as an int,
+    the bitmask of the generator indices whose mask has it."""
+    cols: dict[int, int] = {}
+    for k, g in enumerate(gmasks):
+        while g:
+            low = g & -g
+            g ^= low
+            cols[low] = cols.get(low, 0) | 1 << k
+    return cols
+
+
+def _has_cone_point(
+    m: int, n: int, support: Sequence[int], gmasks: Sequence[int], cols: dict[int, int]
+) -> bool:
+    """Whether the strict-divisor subcomplex at m is a cone, so that its
+    reduced homology vanishes over every field.
+
+    A face F over the support has an lcm below m iff it misses some top
+    exponent bit t of m (over n variables), that is, avoids the set M_t
+    of support generators carrying t.  The facets are the complements of
+    the inclusion-minimal M_t, so a support vertex in no minimal M_t is
+    a cone point.  A top with a unique attainer u gives the minimal set
+    {u}, and no other M_t containing u is minimal, so only the tops that
+    no such u carries are compared for minimality.
+    """
+    tops = m & ~(m >> n)
+    once = twice = smask = 0
+    for k in support:
+        a = gmasks[k] & tops
+        twice |= once & a
+        once |= a
+        smask |= 1 << k
+    unique = tops & ~twice
+    covered = carried = 0
+    for k in support:
+        if gmasks[k] & unique:
+            covered |= 1 << k
+            carried |= gmasks[k]
+    if covered == smask:
+        return False
+    rest = tops & ~carried
+    sets = set()
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        sets.add(cols[low] & smask)
+    for a in sets:
+        if not any(b != a and not b & ~a for b in sets):
+            covered |= a
+    return covered != smask
+
+
 @lru_cache(maxsize=64)
 def graded_betti(
     ideal: MonomialIdeal, field: str = GF2, cap: int = DEFAULT_GENERATOR_CAP
@@ -250,12 +306,16 @@ def graded_betti(
     field = normalize_field(field)
     _validate_ideal(ideal, cap)
     gmasks = packed_masks(ideal.generators)
+    n = len(ideal.ring)
+    cols = _columns(gmasks)
     entries = []
     for m in _lattice(gmasks) - {0}:
+        support = [k for k, g in enumerate(gmasks) if not g & ~m]
+        if _has_cone_point(m, n, support, gmasks, cols):
+            continue
         critical = _critical_faces(m, gmasks)
         sizes = {f.bit_count() for f in critical}
         if len(sizes) > 1:
-            support = [k for k, g in enumerate(gmasks) if not g & ~m]
             dims = enumerate(homology_dims(_divisor_faces(m, gmasks, support, 0), field))
         else:
             dims = ((k, len(critical)) for k in sizes)

@@ -309,7 +309,10 @@ def suite_homogeneity(trials: int = 100, seed: int = 0) -> list[dict]:
     return checks
 
 
-def suite_minimality() -> list[dict]:
+def suite_minimality(qmax: int | None = None) -> list[dict]:
+    """With `qmax`, also every 3 <= s <= q <= qmax over GF(2): the resolution
+    is minimal, so each graded entry is one critical cell's (dimension,
+    packed label) with beta = 1."""
     checks = []
     for q, expected in ((3, [6, 6, 1]), (4, [10, 21, 15, 3])):
         square = power_generators(q, single_relation(3), 2)
@@ -317,6 +320,30 @@ def suite_minimality() -> list[dict]:
         counts = list(morse_mod.critical_counts(q, 3))
         checks.append(_check(f"oracle equals cell counts q={q} s=3", got, expected))
         checks.append(_check(f"cell counts q={q} s=3", counts, expected))
+    for q in range(3, (qmax or 0) + 1):
+        for s in range(3, q + 1):
+            square = power_generators(q, single_relation(s), 2)
+            table = betti_mod.graded_betti(square, "gf2", cap=square.q)
+            critical = morse_mod.critical_closed_form_l2(q, s)
+            labels = LabeledComplex(l2(q), square)
+            cells = sorted((f.bit_count() - 1, labels.packed_label(f)) for f in critical)
+            checks += [
+                _check(
+                    f"oracle totals equal cell counts q={q} s={s}",
+                    list(table.total()),
+                    list(morse_mod.critical_counts(q, s)),
+                ),
+                _check(
+                    f"oracle pd equals formula q={q} s={s}",
+                    table.projective_dimension,
+                    betti_mod.pd_formula(q, s)[1],
+                ),
+                _check(
+                    f"oracle entries equal cell labels q={q} s={s}",
+                    list(table.entries) == [(i, m, 1) for i, m in cells],
+                    True,
+                ),
+            ]
     return checks
 
 
@@ -374,7 +401,7 @@ SUITES = {
     "examples": lambda args: suite_examples(),
     "engine": lambda args: suite_engine(args.qmax or 6),
     "homogeneity": lambda args: suite_homogeneity(args.trials, args.seed),
-    "minimality": lambda args: suite_minimality(),
+    "minimality": lambda args: suite_minimality(args.qmax),
     "pd": lambda args: suite_pd(args.qmax or 6),
     "characterization": lambda args: suite_characterization(args.qmax or 5),
     "cellorder": lambda args: suite_cell_order(args.qmax),
@@ -385,8 +412,8 @@ SUITES = {
 # The largest --qmax of each suite that takes one, checked before any
 # work: the engine and pd sweeps list the faces of l2(q), which the face
 # walk bound allows up to q = 7; the characterization sweeps and
-# morse_complex stop at q = 6.
-QMAX = {"engine": 7, "pd": 7, "characterization": 6, "cellorder": 6}
+# morse_complex stop at q = 6, and so does the Betti oracle's suite.
+QMAX = {"engine": 7, "pd": 7, "characterization": 6, "cellorder": 6, "minimality": 6}
 
 
 def _print_checks(checks: list[dict]) -> bool:

@@ -12,7 +12,11 @@ import re
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .errors import RingMismatchError
+from .errors import CapacityError, RingMismatchError
+
+# The widest packed mask (largest exponent times the number of variables)
+# that `packed_masks` builds: 2^20 bits is 128 KiB per mask.
+MAX_MASK_BITS = 1 << 20
 
 
 class VariableSet:
@@ -291,15 +295,24 @@ class MonomialIdeal:
 def packed_masks(monomials: Sequence[Monomial]) -> list[int]:
     """Exponent vectors packed into one int per monomial: bit ``t*n + v``
     is set iff the exponent of variable v exceeds t, for n variables.
-    lcm is then ``a | b`` and divisibility ``a & ~b == 0``.
+    lcm is then ``a | b`` and divisibility ``a & ~b == 0``.  A mask
+    wider than ``MAX_MASK_BITS`` raises `CapacityError` before it is built.
     """
     packed = []
     for m in monomials:
         n = len(m.exponents)
+        width = max(m.exponents, default=0) * n
+        if width > MAX_MASK_BITS:
+            raise CapacityError(
+                f"{m} needs a packed mask of {width} bits, above the bound of {MAX_MASK_BITS}"
+            )
+        # exponent e of variable v sets bits v, v + n, ..., v + (e - 1) * n:
+        # the repunit (2^(e*n) - 1) / (2^n - 1) in base 2^n, shifted by v
+        unit = (1 << n) - 1
         bits = 0
         for v, e in enumerate(m.exponents):
-            for t in range(e):
-                bits |= 1 << (t * n + v)
+            if e:
+                bits |= ((1 << e * n) - 1) // unit << v
         packed.append(bits)
     return packed
 

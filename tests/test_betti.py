@@ -8,7 +8,10 @@ import pytest
 
 from morseres import betti
 from morseres.betti import (
+    _columns,
     _critical_faces,
+    _divisor_faces,
+    _has_cone_point,
     _lattice,
     exact_rank,
     gf2_rank,
@@ -296,3 +299,64 @@ def test_extremal_square_q6_matches_cell_counts_within_budget(s):
     assert table.projective_dimension == pd_formula(6, s)[1]
     assert_entries_are_critical_labels(table, 6, s)
     assert elapsed < 60, f"runtime {elapsed:.1f}s exceeds budget 60s"
+
+
+def cone_elements(ideal):
+    """The lattice elements where the cone-point test fires, each with
+    its support, and the number where it does not."""
+    gmasks = packed_masks(ideal.generators)
+    n, cols = len(ideal.ring), _columns(gmasks)
+    cones, rest = [], 0
+    for m in _lattice(gmasks) - {0}:
+        support = [k for k, g in enumerate(gmasks) if not g & ~m]
+        if _has_cone_point(m, n, support, gmasks, cols):
+            cones.append((m, support))
+        else:
+            rest += 1
+    return gmasks, cones, rest
+
+
+CONE_CASES = [power_generators(q, single_relation(s), 2) for q, s in ((3, 3), (4, 3), (4, 4))] + [
+    case
+    for ideal in random_ideals(20, q=4, s=3, seed=11)
+    for case in (ideal, ideal.power(2).minimalize())
+]
+
+
+@pytest.mark.parametrize("ideal", CONE_CASES, ids=range(len(CONE_CASES)))
+def test_cone_point_test_is_exact(ideal):
+    gmasks, cones, _ = cone_elements(ideal)
+    for m, support in cones:
+        faces = _divisor_faces(m, gmasks, support, 0)
+        for field in ("gf2", "rational"):
+            assert not any(homology_dims(faces, field)), (ideal, m, field)
+
+
+@pytest.mark.parametrize("s", [3, 4, 5])
+def test_cone_point_test_finds_a_cone_vertex_at_q5(s):
+    # ranks of the 1,944 complexes (up to 30,720 faces) over both fields
+    # take minutes; a vertex u with F + u a face for every face F makes
+    # the complex a cone, acyclic over every field
+    gmasks, cones, _ = cone_elements(power_generators(5, single_relation(s), 2))
+    for m, support in cones:
+        faces = _divisor_faces(m, gmasks, support, 0)
+        alive = set(faces)
+        assert any(all(f | 1 << u in alive for f in faces) for u in support), m
+
+
+def test_cone_point_test_leaves_only_the_betti_lcms(monkeypatch):
+    # on the extremal squares every element that is no cone carries a
+    # Betti number, so the test settles all zero elements
+    reached = []
+    monkeypatch.setattr(
+        betti, "_critical_faces", lambda m, gmasks: reached.append(m) or _critical_faces(m, gmasks)
+    )
+    counts = {}
+    for q in range(3, 6):
+        for s in range(3, q + 1):
+            reached.clear()
+            square = power_generators(q, single_relation(s), 2)
+            table = graded_betti.__wrapped__(square)
+            assert len(reached) == len({m for _, m, _ in table.entries}) == cone_elements(square)[2]
+            counts[q, s] = len(reached)
+    assert [counts[5, s] for s in (3, 4, 5)] == [327, 669, 1093]

@@ -301,6 +301,30 @@ def test_verify_cell_order_qmax_compares_every_pair(capsys):
     assert "PASS  cell order closed form q=6 s=6" in text
 
 
+def test_verify_minimality_qmax_adds_the_oracle_checks(capsys):
+    code, text = run(capsys, "verify", "--suite", "minimality")
+    assert code == 0
+    assert text.count("PASS") == 4
+    code, text = run(capsys, "verify", "--suite", "minimality", "--qmax", "5")
+    assert code == 0
+    assert "FAIL" not in text
+    # the four default checks, then three for each of the six pairs
+    assert text.count("PASS") == 4 + 3 * 6
+    assert "PASS  oracle entries equal cell labels q=5 s=5" in text
+
+
+@pytest.mark.parametrize("command", ["betti", "relations"])
+def test_huge_exponent_exits_2_before_building_its_mask(tmp_path, capsys, command):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"variables": ["x"], "generators": ["x^99999999999"]}))
+    assert main([command, "--ideal", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("morseres: error: ")
+    assert "bits" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("power", ["0", "-2"])
 def test_extremal_power_below_one_exits_2(tmp_path, capsys, power):
     out = tmp_path / "ideal.json"
@@ -342,6 +366,7 @@ def test_relations_limit_above_16_exits_2(tmp_path, capsys):
         ["verify", "--suite", "pd", "--qmax", "8"],
         ["verify", "--suite", "table1", "--qmax", "4"],
         ["verify", "--suite", "cellorder", "--qmax", "7"],
+        ["verify", "--suite", "minimality", "--qmax", "7"],
     ],
 )
 def test_trials_below_one_exit_2(tmp_path, capsys, argv):

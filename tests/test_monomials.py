@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morseres.errors import RingMismatchError
+from morseres.errors import CapacityError, RingMismatchError
 from morseres.monomials import (
+    MAX_MASK_BITS,
     Monomial,
     MonomialIdeal,
     VariableSet,
@@ -208,6 +209,21 @@ def test_packed_masks_agree_with_monomials():
 def test_packed_to_monomial_inverts_packed_masks(exponents):
     mono = RING.monomial(exponents)
     assert packed_to_monomial(packed_masks([mono])[0], RING) == mono
+
+
+@given(st.lists(st.integers(0, 4), min_size=7, max_size=7))
+def test_packed_masks_set_one_bit_per_unit_of_exponent(exponents):
+    # bit t*n + v is set iff the exponent of variable v exceeds t
+    expected = sum(1 << (t * 7 + v) for v, e in enumerate(exponents) for t in range(e))
+    assert packed_masks([RING.monomial(exponents)]) == [expected]
+
+
+def test_packed_masks_bound_their_width():
+    ring = VariableSet("xy")
+    half = MAX_MASK_BITS // 2
+    assert packed_masks([ring.monomial([half, 1])])[0].bit_length() == MAX_MASK_BITS - 1
+    with pytest.raises(CapacityError, match="bits"):
+        packed_masks([ring.monomial([1, half + 1])])
 
 
 @pytest.mark.parametrize(
