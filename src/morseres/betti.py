@@ -3,8 +3,13 @@
 Graded Betti numbers are read off reduced homology of the subcomplex of
 the full generator simplex whose lcm labels strictly divide a fixed lcm
 value m.  A face's lcm falls short of m iff the face avoids the set M_t of
-generators carrying some top exponent bit t of m; a vertex in no minimal
-M_t lies in every facet, so the subcomplex is a cone and m is skipped.
+generators carrying some top exponent bit t of m, so the facets are the
+complements of the inclusion-minimal M_t.  A vertex in no minimal M_t
+lies in every facet, so the subcomplex is a cone and m is skipped; when
+the r minimal sets are pairwise disjoint and cover the support, the
+subcomplex is the boundary of an (r-1)-simplex by the nerve theorem, so
+beta_{r-1,m} = 1 over every field.  Both are read off the generators'
+masks before any face is listed.
 Each remaining subcomplex is first collapsed by sequential element
 matchings: for each support vertex v in index order, a surviving face F
 is paired with F + v when both survive.  A sequence of element matchings
@@ -255,17 +260,22 @@ def _columns(gmasks: Sequence[int]) -> dict[int, int]:
     return cols
 
 
-def _has_cone_point(
+def _minimal_cover(
     m: int, n: int, support: Sequence[int], gmasks: Sequence[int], cols: dict[int, int]
-) -> bool:
-    """Whether the strict-divisor subcomplex at m is a cone, so that its
-    reduced homology vanishes over every field.
+) -> int | None:
+    """The reduced homology of the strict-divisor subcomplex at m when its
+    inclusion-minimal sets M_t settle it: 0 for a cone (zero over every
+    field), r >= 1 for the boundary of an (r-1)-simplex (H~_{r-2} = 1
+    over every field), and None when the faces must be listed.
 
     A face F over the support has an lcm below m iff it misses some top
     exponent bit t of m (over n variables), that is, avoids the set M_t
     of support generators carrying t.  The facets are the complements of
     the inclusion-minimal M_t, so a support vertex in no minimal M_t is
-    a cone point.  A top with a unique attainer u gives the minimal set
+    a cone point.  Otherwise the r minimal sets cover the support, and
+    when they are pairwise disjoint any r - 1 facets meet in a simplex
+    while all r meet in nothing: by the nerve theorem the complex is an
+    (r-2)-sphere.  A top with a unique attainer u gives the minimal set
     {u}, and no other M_t containing u is minimal, so only the tops that
     no such u carries are compared for minimality.
     """
@@ -282,8 +292,8 @@ def _has_cone_point(
         if gmasks[k] & unique:
             covered |= 1 << k
             carried |= gmasks[k]
-    if covered == smask:
-        return False
+    r = covered.bit_count()
+    disjoint = True
     rest = tops & ~carried
     sets = set()
     while rest:
@@ -292,8 +302,12 @@ def _has_cone_point(
         sets.add(cols[low] & smask)
     for a in sets:
         if not any(b != a and not b & ~a for b in sets):
+            disjoint = disjoint and not a & covered
             covered |= a
-    return covered != smask
+            r += 1
+    if covered != smask:
+        return 0
+    return r if disjoint else None
 
 
 @lru_cache(maxsize=64)
@@ -311,7 +325,10 @@ def graded_betti(
     entries = []
     for m in _lattice(gmasks) - {0}:
         support = [k for k, g in enumerate(gmasks) if not g & ~m]
-        if _has_cone_point(m, n, support, gmasks, cols):
+        r = _minimal_cover(m, n, support, gmasks, cols)
+        if r is not None:
+            if r:
+                entries.append((r - 1, m, 1))
             continue
         critical = _critical_faces(m, gmasks)
         sizes = {f.bit_count() for f in critical}

@@ -158,7 +158,7 @@ def is_acyclic(faces: Iterable[int], matching: Matching) -> bool:
     low = (1 << h) - 1
     lo, hi = _bit_table(h, 0), _bit_table(width - h, h)
     get = up.get
-    succ: dict[int, list[int]] = {}
+    succ: dict[int, tuple[int, ...]] = {}
     for big in up.values():
         out = [
             nxt
@@ -166,7 +166,8 @@ def is_acyclic(faces: Iterable[int], matching: Matching) -> bool:
             if nxt is not None and nxt != big
         ]
         if out:
-            succ[big] = out
+            # tuples of ints, unlike lists, leave the cyclic GC's scans
+            succ[big] = tuple(out)
     del up, get
 
     # a node is on the current path, still in succ (unvisited), or finished

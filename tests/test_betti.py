@@ -11,8 +11,8 @@ from morseres.betti import (
     _columns,
     _critical_faces,
     _divisor_faces,
-    _has_cone_point,
     _lattice,
+    _minimal_cover,
     exact_rank,
     gf2_rank,
     graded_betti,
@@ -301,19 +301,23 @@ def test_extremal_square_q6_matches_cell_counts_within_budget(s):
     assert elapsed < 60, f"runtime {elapsed:.1f}s exceeds budget 60s"
 
 
-def cone_elements(ideal):
-    """The lattice elements where the cone-point test fires, each with
-    its support, and the number where it does not."""
+def cover_classes(ideal):
+    """The lattice elements that the minimal-cover test settles as cones
+    and as spheres, each with its support (and a sphere with its number
+    r of minimal sets), and the number it leaves to the face route."""
     gmasks = packed_masks(ideal.generators)
     n, cols = len(ideal.ring), _columns(gmasks)
-    cones, rest = [], 0
+    cones, spheres, rest = [], [], 0
     for m in _lattice(gmasks) - {0}:
         support = [k for k, g in enumerate(gmasks) if not g & ~m]
-        if _has_cone_point(m, n, support, gmasks, cols):
+        r = _minimal_cover(m, n, support, gmasks, cols)
+        if r == 0:
             cones.append((m, support))
+        elif r is not None:
+            spheres.append((m, support, r))
         else:
             rest += 1
-    return gmasks, cones, rest
+    return gmasks, cones, spheres, rest
 
 
 CONE_CASES = [power_generators(q, single_relation(s), 2) for q, s in ((3, 3), (4, 3), (4, 4))] + [
@@ -325,11 +329,22 @@ CONE_CASES = [power_generators(q, single_relation(s), 2) for q, s in ((3, 3), (4
 
 @pytest.mark.parametrize("ideal", CONE_CASES, ids=range(len(CONE_CASES)))
 def test_cone_point_test_is_exact(ideal):
-    gmasks, cones, _ = cone_elements(ideal)
+    gmasks, cones, _, _ = cover_classes(ideal)
     for m, support in cones:
         faces = _divisor_faces(m, gmasks, support, 0)
         for field in ("gf2", "rational"):
             assert not any(homology_dims(faces, field)), (ideal, m, field)
+
+
+@pytest.mark.parametrize("ideal", CONE_CASES, ids=range(len(CONE_CASES)))
+def test_disjoint_minimal_sets_give_one_sphere(ideal):
+    gmasks, _, spheres, _ = cover_classes(ideal)
+    assert spheres
+    for m, support, r in spheres:
+        faces = _divisor_faces(m, gmasks, support, 0)
+        for field in ("gf2", "rational"):
+            dims = homology_dims(faces, field)
+            assert [(i, v) for i, v in enumerate(dims) if v] == [(r - 1, 1)], (ideal, m, field)
 
 
 @pytest.mark.parametrize("s", [3, 4, 5])
@@ -337,16 +352,40 @@ def test_cone_point_test_finds_a_cone_vertex_at_q5(s):
     # ranks of the 1,944 complexes (up to 30,720 faces) over both fields
     # take minutes; a vertex u with F + u a face for every face F makes
     # the complex a cone, acyclic over every field
-    gmasks, cones, _ = cone_elements(power_generators(5, single_relation(s), 2))
+    gmasks, cones, _, _ = cover_classes(power_generators(5, single_relation(s), 2))
     for m, support in cones:
         faces = _divisor_faces(m, gmasks, support, 0)
         alive = set(faces)
         assert any(all(f | 1 << u in alive for f in faces) for u in support), m
 
 
+@pytest.mark.parametrize("s", [3, 4, 5])
+def test_sphere_facets_complement_disjoint_sets_at_q5(s):
+    # ranks take minutes at q = 5; a complex whose facets are the
+    # complements of r pairwise disjoint nonempty sets covering the
+    # support is the boundary of an (r-1)-simplex by the nerve theorem
+    gmasks, _, spheres, _ = cover_classes(power_generators(5, single_relation(s), 2))
+    for m, support, r in spheres:
+        smask = sum(1 << k for k in support)
+        faces = _divisor_faces(m, gmasks, support, 0)
+        alive = set(faces)
+        holes = [
+            smask & ~f
+            for f in faces
+            if not any(f | 1 << u in alive for u in support if not f >> u & 1)
+        ]
+        assert len(holes) == r, m
+        union = 0
+        for hole in holes:
+            assert hole and not hole & union, m
+            union |= hole
+        assert union == smask, m
+
+
 def test_cone_point_test_leaves_only_the_betti_lcms(monkeypatch):
     # on the extremal squares every element that is no cone carries a
-    # Betti number, so the test settles all zero elements
+    # Betti number, and all but a few of them are settled as spheres
+    # before any face is listed
     reached = []
     monkeypatch.setattr(
         betti, "_critical_faces", lambda m, gmasks: reached.append(m) or _critical_faces(m, gmasks)
@@ -357,6 +396,9 @@ def test_cone_point_test_leaves_only_the_betti_lcms(monkeypatch):
             reached.clear()
             square = power_generators(q, single_relation(s), 2)
             table = graded_betti.__wrapped__(square)
-            assert len(reached) == len({m for _, m, _ in table.entries}) == cone_elements(square)[2]
-            counts[q, s] = len(reached)
-    assert [counts[5, s] for s in (3, 4, 5)] == [327, 669, 1093]
+            lcms = {m for _, m, _ in table.entries}
+            _, _, spheres, rest = cover_classes(square)
+            assert len(reached) == rest and set(reached) <= lcms
+            assert len(lcms) == len(spheres) + rest
+            counts[q, s] = len(lcms), len(reached)
+    assert [counts[5, s] for s in (3, 4, 5)] == [(327, 4), (669, 14), (1093, 63)]

@@ -366,7 +366,7 @@ def test_relations_limit_above_16_exits_2(tmp_path, capsys):
         ["verify", "--suite", "pd", "--qmax", "8"],
         ["verify", "--suite", "table1", "--qmax", "4"],
         ["verify", "--suite", "cellorder", "--qmax", "7"],
-        ["verify", "--suite", "minimality", "--qmax", "7"],
+        ["verify", "--suite", "minimality", "--qmax", "8"],
     ],
 )
 def test_trials_below_one_exit_2(tmp_path, capsys, argv):
