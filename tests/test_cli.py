@@ -193,6 +193,20 @@ def test_report_document(tmp_path, capsys):
     )
 
 
+MORSE_DIGESTS = {
+    "matching": "edefb601750d4c5633af35c68d653ea781e1d7c954bd3bb42796920e88bd63a1",
+    "cells": "f8a030ee56335ea0a7c641e9dc763b2c12acc5ef0ebca5e63f347ee78beb501d",
+}
+
+
+@pytest.mark.parametrize("emit", sorted(MORSE_DIGESTS))
+def test_morse_bytes_at_q6_s3(capsys, emit):
+    # the engine's matched edges (in order) and the critical cells, pinned
+    code, text = run(capsys, "morse", "--q", "6", "--s", "3", "--emit", emit)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == MORSE_DIGESTS[emit]
+
+
 def test_failing_check_reports_and_exits_nonzero(capsys, monkeypatch):
     from morseres import cli
 
