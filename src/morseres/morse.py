@@ -9,10 +9,11 @@ cell of the resolution).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from typing import Iterable, Mapping
+from itertools import product, repeat
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .complexes import LabeledComplex, SimplicialComplex, _p, l2, submasks, taylor
 from .errors import CapacityError
@@ -32,9 +33,7 @@ class MatchingSpec:
         for sigma in self.order:
             v = self.omega[sigma]
             if sigma >> v & 1:
-                raise ValueError(
-                    f"omega assigns vertex bit {v} inside its own face {sigma:b}"
-                )
+                raise ValueError(f"omega assigns vertex bit {v} inside its own face {sigma:b}")
 
 
 class Matching:
@@ -47,11 +46,10 @@ class Matching:
     def __init__(self, pairs: Iterable[tuple[int, int]]):
         up: dict[int, int] = {}
         count = 0
-        for big, small in pairs:
+        for count, (big, small) in enumerate(pairs, 1):
             if small & big != small or (big ^ small).bit_count() != 1:
                 raise ValueError("matched edge must drop exactly one vertex")
             up[small] = big
-            count += 1
         bigger = set(up.values())
         if not len(up) == len(bigger) == count or not bigger.isdisjoint(up):
             raise ValueError("a face occurs in more than one matched edge")
@@ -76,51 +74,62 @@ def _containment_table(parts: list[int], width: int) -> list[int]:
     return table
 
 
-def _buckets(faces: Iterable[int], spec: MatchingSpec) -> list[set[int]]:
-    """Bucket i + 1 holds the faces whose largest contained pivot is
-    order[i]; bucket 0 holds the faces that contain no pivot.
-
-    Two lookup tables, over the low and the high half of the pivots'
-    support, give the set of pivots inside a face as a bitmask over the
-    order, so its highest bit names the largest pivot.
+def _group_index(spec: MatchingSpec) -> Callable[[int], int]:
+    """Map a face to 1 + the index in ``spec.order`` of its largest
+    pivot, or to 0 when it contains none.  Two lookup tables, over the
+    low and the high half of the pivots' support, give the pivots inside
+    a face as a bitmask over the order; its highest bit names the largest.
     """
     order = spec.order
-    span = 0
-    for sigma in order:
-        span |= sigma
-    width = span.bit_length()
+    width = max(order, default=0).bit_length()
     h = width // 2
     low, high = (1 << h) - 1, (1 << (width - h)) - 1
     lo = _containment_table([sigma & low for sigma in order], h)
     hi = _containment_table([sigma >> h for sigma in order], width - h)
-    buckets = [set() for _ in range(len(order) + 1)]
-    for gamma in faces:
-        buckets[(lo[gamma & low] & hi[gamma >> h & high]).bit_length()].add(gamma)
-    return buckets
+    return lambda face: (lo[face & low] & hi[face >> h & high]).bit_length()
+
+
+def _walk(faces: Iterable[int], spec: MatchingSpec) -> Iterator[tuple[int, int | None]]:
+    """Yield (tau, tau ^ v) for each matched edge and (tau, None) for each
+    unmatched face tau, where v is the chosen vertex of tau's group.
+
+    tau is matched down when it holds v and tau ^ v is a face, which then
+    lies in the same group, as v is outside the group's pivot.  Faces
+    come in strictly increasing (cardinality, mask) order, so the walk
+    holds only the faces one cardinality below that lack their v, each
+    mapped to itself so that an edge reuses the stored int.
+    """
+    group = _group_index(spec)
+    vbits = [0] + [1 << spec.omega[sigma] for sigma in spec.order]
+    below, level = {}, {}
+    card, last = 0, -1
+    for tau in faces:
+        c = tau.bit_count()
+        if c < card or c == card and tau <= last:
+            raise ValueError("faces must come in increasing (cardinality, mask) order")
+        if c > card:
+            # a held face is matched from one cardinality up or not at all
+            yield from zip(below, repeat(None))
+            below, level, card = level, {}, c
+        last = tau
+        v = vbits[group(tau)]
+        if tau & v:
+            yield tau, below.pop(tau ^ v, None)
+        elif v:
+            level[tau] = tau
+        else:
+            yield tau, None
+    yield from zip([*below, *level], repeat(None))
 
 
 def build_matching(faces: Iterable[int], spec: MatchingSpec) -> Matching:
-    """Within each group, match tau against tau minus the chosen vertex
-    whenever both lie in the group."""
-    down: dict[int, int] = {}
-    for sigma, members in zip(spec.order, _buckets(faces, spec)[1:]):
-        vbit = 1 << spec.omega[sigma]
-        down.update(
-            {tau: tau ^ vbit for tau in members if tau & vbit and tau ^ vbit in members}
-        )
-    bigs = sorted(down)
-    bigs.sort(key=int.bit_count)
-    return Matching(zip(bigs, map(down.__getitem__, bigs)))
+    """Within each group, match tau to tau minus the chosen vertex when both are faces."""
+    return Matching(edge for edge in _walk(faces, spec) if edge[1] is not None)
 
 
 def critical_cells(faces: Iterable[int], spec: MatchingSpec) -> frozenset[int]:
-    """Faces in no group, plus group members whose vertex-extension
-    leaves the group."""
-    loose, *groups = _buckets(faces, spec)
-    for sigma, members in zip(spec.order, groups):
-        vbit = 1 << spec.omega[sigma]
-        loose.update([tau for tau in members if tau | vbit not in members])
-    return frozenset(loose)
+    """The faces that ``build_matching`` leaves unmatched."""
+    return frozenset(tau for tau, small in _walk(faces, spec) if small is None)
 
 
 def _bit_table(width: int, shift: int) -> list[tuple[int, ...]]:
@@ -157,18 +166,15 @@ def is_acyclic(faces: Iterable[int], matching: Matching) -> bool:
     h = width // 2
     low = (1 << h) - 1
     lo, hi = _bit_table(h, 0), _bit_table(width - h, h)
-    get = up.get
     succ: dict[int, tuple[int, ...]] = {}
     for big in up.values():
-        out = [
-            nxt
-            for nxt in map(get, [big ^ bit for bit in lo[big & low] + hi[big >> h]])
-            if nxt is not None and nxt != big
-        ]
-        if out:
+        # big's own partner is always among the hits; drop it last
+        out = [up[f] for bit in lo[big & low] + hi[big >> h] if (f := big ^ bit) in up]
+        if len(out) > 1:
+            out.remove(big)
             # tuples of ints, unlike lists, leave the cyclic GC's scans
             succ[big] = tuple(out)
-    del up, get
+    del up
 
     # a node is on the current path, still in succ (unvisited), or finished
     on_path: set[int] = set()
@@ -237,8 +243,7 @@ def matching_l2(q: int, s: int) -> tuple[MatchingSpec, Matching]:
             order.append(mask)
             omega[mask] = cx.vertex_bit((1, j))
     spec = MatchingSpec(cx, tuple(order), omega)
-    matching = build_matching(cx.faces(), spec)
-    return spec, matching
+    return spec, build_matching(cx.faces(), spec)
 
 
 @lru_cache(maxsize=32)
@@ -270,10 +275,7 @@ def critical_closed_form_l2(q: int, s: int) -> frozenset[int]:
 
 def critical_counts(q: int, s: int, length: int | None = None) -> tuple[int, ...]:
     """Number of critical faces per dimension (cardinality minus one)."""
-    counts: dict[int, int] = {}
-    for f in critical_closed_form_l2(q, s):
-        d = f.bit_count() - 1
-        counts[d] = counts.get(d, 0) + 1
+    counts = Counter(f.bit_count() - 1 for f in critical_closed_form_l2(q, s))
     top = max(counts)
     if length is None:
         length = top + 1
@@ -296,12 +298,11 @@ def prune_taylor_first_power(q: int, s: int) -> FirstPowerPrune:
     tx = taylor(q)
     sigma = tx.mask(range(2, s + 1))
     spec = MatchingSpec(tx, (sigma,), {sigma: tx.vertex_bit(1)})
-    matching = build_matching(tx.faces(), spec)
     gamma = SimplicialComplex(
         tx.vertices,
         [[v for v in range(1, q + 1) if v != k] for k in range(2, s + 1)],
     )
-    return FirstPowerPrune(tx, gamma, spec, matching)
+    return FirstPowerPrune(tx, gamma, spec, build_matching(tx.faces(), spec))
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +373,7 @@ class MorseComplex:
 
     def counts(self, length: int | None = None) -> tuple[int, ...]:
         out = tuple(len(c) for c in self.cells)
-        if length is None:
-            return out
-        return out + (0,) * (length - len(out))
+        return out if length is None else out + (0,) * (length - len(out))
 
 
 def morse_complex(q: int, s: int) -> MorseComplex:

@@ -9,7 +9,7 @@ from morseres.monomials import MonomialIdeal, VariableSet, lcm_of
 from morseres.morse import (
     Matching,
     MatchingSpec,
-    _buckets,
+    _group_index,
     _pivot_faces,
     build_matching,
     cell_order_closed_form,
@@ -28,7 +28,12 @@ from morseres.sampling import random_ideals
 
 def groups_of(faces, spec):
     """The non-empty groups of faces, keyed by the largest pivot they contain."""
-    return {sigma: g for sigma, g in zip(spec.order, _buckets(faces, spec)[1:]) if g}
+    group = _group_index(spec)
+    groups = {}
+    for f in faces:
+        if g := group(f):
+            groups.setdefault(spec.order[g - 1], set()).add(f)
+    return groups
 
 
 def face(cx, text):
@@ -383,6 +388,7 @@ def naive_partition(faces, spec):
 
 
 def naive_matching_and_critical(faces, spec):
+    """Matched edges within each group, sorted, and the faces in no edge."""
     groups = naive_partition(faces, spec)
     pairs, critical = [], set(faces)
     for sigma, members in groups.items():
@@ -390,8 +396,7 @@ def naive_matching_and_critical(faces, spec):
         for tau in members:
             if tau & vbit and tau ^ vbit in members:
                 pairs.append((tau, tau ^ vbit))
-            if tau | vbit in members:
-                critical.discard(tau)
+                critical.difference_update(pairs[-1])
     pairs.sort(key=lambda e: (e[0].bit_count(), e[0], e[1]))
     return tuple(pairs), frozenset(critical)
 
@@ -432,5 +437,18 @@ def test_engine_equals_reference_on_random_specs(cx):
         # also on face sets that are not closed under taking subsets
         for chosen in (faces, [f for f in faces if rng.random() < 0.6]):
             pairs, critical = naive_matching_and_critical(chosen, spec)
-            assert build_matching(chosen, spec).pairs == pairs
+            matching = build_matching(chosen, spec)
+            assert matching.pairs == pairs
+            matched = {f for pair in matching.pairs for f in pair}
+            assert critical_cells(chosen, spec) == frozenset(chosen) - matched
             assert critical_cells(chosen, spec) == critical
+
+
+@pytest.mark.parametrize("engine", [build_matching, critical_cells])
+def test_engine_rejects_faces_out_of_order(engine):
+    spec, _ = matching_l2(3, 3)
+    faces = list(spec.complex.faces())
+    assert engine(faces[:5], spec) is not None
+    for bad in (faces[::-1], faces[:5] + faces[4:], [0b11, 0b100]):
+        with pytest.raises(ValueError, match="order"):
+            engine(bad, spec)
