@@ -9,7 +9,6 @@ cell of the resolution).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product, repeat
@@ -33,7 +32,9 @@ class MatchingSpec:
         for sigma in self.order:
             v = self.omega[sigma]
             if sigma >> v & 1:
-                raise ValueError(f"omega assigns vertex bit {v} inside its own face {sigma:b}")
+                raise ValueError(
+                    f"omega assigns vertex bit {v} inside its own face {sigma:b}"
+                )
 
 
 class Matching:
@@ -75,11 +76,9 @@ def _containment_table(parts: list[int], width: int) -> list[int]:
 
 
 def _group_index(spec: MatchingSpec) -> Callable[[int], int]:
-    """Map a face to 1 + the index in ``spec.order`` of its largest
-    pivot, or to 0 when it contains none.  Two lookup tables, over the
-    low and the high half of the pivots' support, give the pivots inside
-    a face as a bitmask over the order; its highest bit names the largest.
-    """
+    """Map a face to 1 + the index in ``spec.order`` of its largest pivot,
+    0 for none: containment tables over the low and the high half of the
+    pivots' support give the pivots inside a face as bits over the order."""
     order = spec.order
     width = max(order, default=0).bit_length()
     h = width // 2
@@ -91,14 +90,11 @@ def _group_index(spec: MatchingSpec) -> Callable[[int], int]:
 
 def _walk(faces: Iterable[int], spec: MatchingSpec) -> Iterator[tuple[int, int | None]]:
     """Yield (tau, tau ^ v) for each matched edge and (tau, None) for each
-    unmatched face tau, where v is the chosen vertex of tau's group.
-
-    tau is matched down when it holds v and tau ^ v is a face, which then
-    lies in the same group, as v is outside the group's pivot.  Faces
-    come in strictly increasing (cardinality, mask) order, so the walk
-    holds only the faces one cardinality below that lack their v, each
-    mapped to itself so that an edge reuses the stored int.
-    """
+    unmatched face, v being the chosen vertex of tau's group; tau ^ v is in
+    that group too, as v lies outside its pivot.  Faces come in strictly
+    increasing (cardinality, mask) order, so only the faces one cardinality
+    below that lack their v are held, each mapped to itself so that an edge
+    reuses the stored int."""
     group = _group_index(spec)
     vbits = [0] + [1 << spec.omega[sigma] for sigma in spec.order]
     below, level = {}, {}
@@ -168,7 +164,7 @@ def is_acyclic(faces: Iterable[int], matching: Matching) -> bool:
     lo, hi = _bit_table(h, 0), _bit_table(width - h, h)
     succ: dict[int, tuple[int, ...]] = {}
     for big in up.values():
-        # big's own partner is always among the hits; drop it last
+        # big's own partner is always a hit, so only a second hit is a successor
         out = [up[f] for bit in lo[big & low] + hi[big >> h] if (f := big ^ bit) in up]
         if len(out) > 1:
             out.remove(big)
@@ -275,7 +271,10 @@ def critical_closed_form_l2(q: int, s: int) -> frozenset[int]:
 
 def critical_counts(q: int, s: int, length: int | None = None) -> tuple[int, ...]:
     """Number of critical faces per dimension (cardinality minus one)."""
-    counts = Counter(f.bit_count() - 1 for f in critical_closed_form_l2(q, s))
+    counts: dict[int, int] = {}
+    for f in critical_closed_form_l2(q, s):
+        d = f.bit_count() - 1
+        counts[d] = counts.get(d, 0) + 1
     top = max(counts)
     if length is None:
         length = top + 1
@@ -373,7 +372,9 @@ class MorseComplex:
 
     def counts(self, length: int | None = None) -> tuple[int, ...]:
         out = tuple(len(c) for c in self.cells)
-        return out if length is None else out + (0,) * (length - len(out))
+        if length is None:
+            return out
+        return out + (0,) * (length - len(out))
 
 
 def morse_complex(q: int, s: int) -> MorseComplex:
