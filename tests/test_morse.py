@@ -440,8 +440,9 @@ def test_engine_equals_reference_on_random_specs(cx):
             matching = build_matching(chosen, spec)
             assert matching.pairs == pairs
             matched = {f for pair in matching.pairs for f in pair}
-            assert critical_cells(chosen, spec) == frozenset(chosen) - matched
-            assert critical_cells(chosen, spec) == critical
+            cells = critical_cells(chosen, spec)
+            assert cells == frozenset(chosen) - matched
+            assert cells == critical
 
 
 @pytest.mark.parametrize("engine", [build_matching, critical_cells])
