@@ -196,12 +196,15 @@ def test_report_document(tmp_path, capsys):
 MORSE_DIGESTS = {
     "matching": "edefb601750d4c5633af35c68d653ea781e1d7c954bd3bb42796920e88bd63a1",
     "cells": "f8a030ee56335ea0a7c641e9dc763b2c12acc5ef0ebca5e63f347ee78beb501d",
+    "order": "88df41fb7a336a09da8dc43fc973b709ee5027a42bbcac167d7f8e2f65e73ca0",
+    "dot": "9e1563862d6ef75ddf1d182c162f5dbc629cb221b485423d078ea5c9d761ca6f",
 }
 
 
 @pytest.mark.parametrize("emit", sorted(MORSE_DIGESTS))
 def test_morse_bytes_at_q6_s3(capsys, emit):
-    # the engine's matched edges (in order) and the critical cells, pinned
+    # the engine's matched edges (in order), the critical cells and the
+    # cell order (as JSON and as a dot graph), pinned
     code, text = run(capsys, "morse", "--q", "6", "--s", "3", "--emit", emit)
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == MORSE_DIGESTS[emit]
