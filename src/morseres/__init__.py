@@ -33,7 +33,6 @@ from .morse import (
     MatchingSpec,
     MorseComplex,
     build_matching,
-    cell_order_closed_form,
     critical_cells,
     critical_closed_form_l2,
     critical_counts,

@@ -116,15 +116,14 @@ def cmd_morse(args) -> int:
         _emit(payload, args)
         return 0
     mc = morse_mod.morse_complex(q, s)
+    cx = l2(q)
     if args.emit == "cells":
         payload = {
             "schema": 1,
             "q": q,
             "s": s,
-            "counts": list(mc.counts()),
-            "cells": [
-                [_face_json(mc.complex, f) for f in group] for group in mc.cells
-            ],
+            "counts": list(morse_mod.critical_counts(q, s)),
+            "cells": [[_face_json(cx, f) for f in group] for group in mc.cells],
         }
         _emit(payload, args)
         return 0
@@ -134,8 +133,7 @@ def cmd_morse(args) -> int:
             "q": q,
             "s": s,
             "order": [
-                [_face_json(mc.complex, t), _face_json(mc.complex, s_)]
-                for s_, t in sorted(mc.order)
+                [_face_json(cx, t), _face_json(cx, s_)] for s_, t in sorted(mc.order)
             ],
         }
         _emit(payload, args)
@@ -143,11 +141,9 @@ def cmd_morse(args) -> int:
     lines = [f'digraph cells_q{q}_s{s} {{']
     for group in mc.cells:
         for f in group:
-            lines.append(f'  "{_face_name(mc.complex, f)}";')
+            lines.append(f'  "{_face_name(cx, f)}";')
     for s_, t in sorted(mc.order):
-        lines.append(
-            f'  "{_face_name(mc.complex, t)}" -> "{_face_name(mc.complex, s_)}";'
-        )
+        lines.append(f'  "{_face_name(cx, t)}" -> "{_face_name(cx, s_)}";')
     lines.append("}")
     _emit("\n".join(lines) + "\n", args)
     return 0
@@ -420,7 +416,7 @@ SUITES = {
 # The largest --qmax of each suite that takes one, checked before any
 # work: the engine and pd sweeps list the faces of l2(q), which the face
 # walk bound allows up to q = 7, and so does the Betti oracle's suite
-# (its --qmax 7 run took about 200 s and a 1.8 GB peak on a 2-core
+# (its --qmax 7 run took about 200 s and a 1.3 GB peak on a 2-core
 # host); the characterization sweeps and morse_complex stop at q = 6.
 QMAX = {"engine": 7, "pd": 7, "characterization": 6, "cellorder": 6, "minimality": 7}
 
@@ -526,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("betti", help="Betti table of an ideal file")
     p.add_argument("--ideal", required=True)
-    p.add_argument("--field", default="gf2")
+    p.add_argument("--field", choices=[betti_mod.GF2, betti_mod.RATIONAL], default="gf2")
     p.add_argument("--graded", action="store_true")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")

@@ -92,27 +92,23 @@ class SimplicialComplex:
         seen = set()
         for facet in self.facets:
             seen.update(submasks(facet))
+        seen.discard(0)
         faces = sorted(seen)
         faces.sort(key=int.bit_count)
         return tuple(faces)
 
-    def faces(self, card: int | None = None, include_empty: bool = False) -> Iterator[int]:
-        """Yield each face exactly once, ordered by (cardinality, mask)."""
-        faces = self._face_list if include_empty else filter(None, self._face_list)
-        if card is None:
-            yield from faces
-        else:
-            yield from (m for m in faces if m.bit_count() == card)
+    def faces(self) -> Iterator[int]:
+        """Each non-empty face exactly once, ordered by (cardinality, mask)."""
+        return iter(self._face_list)
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, f_1, ..., f_{d+1}) with f_0 = 1 for the empty face."""
         if self.is_void:
             return (0,)
-        counts: dict[int, int] = {}
+        counts = [1] + [0] * (self.dim + 1)
         for m in self._face_list:
-            counts[m.bit_count()] = counts.get(m.bit_count(), 0) + 1
-        top = max(counts)
-        return tuple(counts.get(k, 0) for k in range(top + 1))
+            counts[m.bit_count()] += 1
+        return tuple(counts)
 
     @property
     def dim(self) -> int:

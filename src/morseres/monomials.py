@@ -49,19 +49,8 @@ class VariableSet:
     def __repr__(self) -> str:
         return f"VariableSet({list(self.names)!r})"
 
-    def index(self, name: str) -> int:
-        return self._index[name]
-
     def one(self) -> "Monomial":
         return Monomial(self, (0,) * len(self.names))
-
-    def monomial(self, exponents: Sequence[int]) -> "Monomial":
-        return Monomial(self, exponents)
-
-    def variable(self, name: str) -> "Monomial":
-        e = [0] * len(self.names)
-        e[self._index[name]] = 1
-        return Monomial(self, e)
 
     def parse(self, text: str) -> "Monomial":
         """Parse juxtaposed variable names with optional ``^k`` exponents.

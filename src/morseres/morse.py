@@ -242,7 +242,6 @@ def matching_l2(q: int, s: int) -> tuple[MatchingSpec, Matching]:
     return spec, build_matching(cx.faces(), spec)
 
 
-@lru_cache(maxsize=32)
 def _regions(q: int, s: int):
     cx = l2(q)
     base = cx.mask([_p(k, 1) for k in range(2, s + 1)])
@@ -337,13 +336,13 @@ def gradient_cell_order(q: int, s: int) -> frozenset[tuple[int, int]]:
     return frozenset(order)
 
 
-def _lower_cells(q: int, s: int, tau: int) -> list[int]:
+def _lower_cells(regions, s: int, tau: int) -> list[int]:
     """The faces one dimension below tau whose cells lie under tau's
     cell: its facets, and, when tau is of the base-and-middle form with
     a single middle vertex, that vertex swapped for (1, 1) with one of
-    (1, 2)..(1, s) dropped."""
+    (1, 2)..(1, s) dropped.  ``regions`` is ``_regions(q, s)``."""
     out = [tau ^ 1 << v for v in range(tau.bit_length()) if tau >> v & 1]
-    cx, base, mid, tail = _regions(q, s)
+    cx, base, mid, tail = regions
     gamma = tau & mid
     if tau & base == base and tau & ~(base | mid | tail) == 0 and gamma.bit_count() == 1:
         core = tau ^ gamma | 1 << cx.vertex_bit((1, 1))
@@ -351,30 +350,14 @@ def _lower_cells(q: int, s: int, tau: int) -> list[int]:
     return out
 
 
-def cell_order_closed_form(q: int, s: int, sigma: int, tau: int) -> bool:
-    """Whether the cell of sigma lies under the cell of tau."""
-    critical = critical_closed_form_l2(q, s)
-    if sigma not in critical or tau not in critical:
-        raise ValueError("cell order is defined on critical faces only")
-    if sigma.bit_count() != tau.bit_count() - 1:
-        raise ValueError("faces must lie in adjacent dimensions")
-    return sigma in _lower_cells(q, s, tau)
-
-
 @dataclass(frozen=True)
 class MorseComplex:
-    """Critical cells grouped by dimension plus the order relation
-    (sigma, tau) among cells of adjacent dimensions."""
+    """Critical cells of the pair complex ``l2(q)`` grouped by dimension
+    plus the order relation (sigma, tau) among cells of adjacent
+    dimensions."""
 
-    complex: SimplicialComplex
     cells: tuple[tuple[int, ...], ...]
     order: frozenset[tuple[int, int]]
-
-    def counts(self, length: int | None = None) -> tuple[int, ...]:
-        out = tuple(len(c) for c in self.cells)
-        if length is None:
-            return out
-        return out + (0,) * (length - len(out))
 
 
 def morse_complex(q: int, s: int) -> MorseComplex:
@@ -389,10 +372,11 @@ def morse_complex(q: int, s: int) -> MorseComplex:
         tuple(sorted(f for f in critical if f.bit_count() == d + 1))
         for d in range(top)
     )
+    regions = _regions(q, s)
     order = frozenset(
         (sigma, tau)
         for tau in critical
-        for sigma in _lower_cells(q, s, tau)
+        for sigma in _lower_cells(regions, s, tau)
         if sigma in critical
     )
-    return MorseComplex(l2(q), cells, order)
+    return MorseComplex(cells, order)

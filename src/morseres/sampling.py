@@ -10,28 +10,23 @@ from .extremal import check_qs
 from .monomials import MonomialIdeal, VariableSet, minimal_indices, packed_to_monomial
 
 LETTERS = "abcdefghijklmnop"
+# draws tried before giving up
+MAX_TRIES = 10_000
 
 
 def random_squarefree_ideal(
-    q: int = 4,
-    s: int = 3,
-    seed: int | None = 0,
-    num_vars: int = 6,
-    rng: random.Random | None = None,
-    max_tries: int = 10_000,
+    rng: random.Random, q: int = 4, s: int = 3, num_vars: int = 6
 ) -> MonomialIdeal:
     """A minimally generated square-free ideal on q generators whose
-    first generator divides lcm of generators 2..s.
+    first generator divides lcm of generators 2..s, drawn from ``rng``.
 
-    Deterministic for a fixed seed; generators 2..q are random
-    square-free monomials, generator 1 is a random divisor of the lcm of
-    generators 2..s, and draws are rejected until the generating set is
-    minimal.
+    Generators 2..q are random square-free monomials, generator 1 is a
+    random divisor of the lcm of generators 2..s, and draws are rejected
+    until the generating set is minimal.
     """
     check_qs(q, s)
     if not 2 <= num_vars <= len(LETTERS):
         raise ValueError(f"num_vars must be in 2..{len(LETTERS)}; generators need two variables")
-    rng = rng if rng is not None else random.Random(seed)
     ring = VariableSet(LETTERS[:num_vars])
 
     # square-free monomials as variable bitmasks, which are also their
@@ -42,7 +37,7 @@ def random_squarefree_ideal(
             if len(picked) >= 2:
                 return sum(1 << v for v in picked)
 
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         rest = [draw_from(range(num_vars)) for _ in range(q - 1)]
         target = 0
         for g in rest[: s - 1]:
@@ -66,4 +61,4 @@ def random_ideals(
     """A deterministic stream of `trials` ideals for one seed."""
     rng = random.Random(seed)
     for _ in range(trials):
-        yield random_squarefree_ideal(q, s, rng=rng, num_vars=num_vars)
+        yield random_squarefree_ideal(rng, q, s, num_vars)

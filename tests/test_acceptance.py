@@ -158,7 +158,7 @@ def test_criterion_8_cell_order():
     with Budget(180) as b:
         got = passed(cli.suite_cell_order())
         mc = morse_complex(4, 3)
-        cx = mc.complex
+        cx = l2(4)
 
         def f(text):
             return cx.mask([(int(t[0]), int(t[1])) for t in text.split()])

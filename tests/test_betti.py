@@ -36,12 +36,12 @@ I2 = MonomialIdeal(R2, [R2.parse(t) for t in ("ab", "bcd", "aef", "ce")])
 
 
 def faces_of(cx):
-    return list(cx.faces(include_empty=True))
+    return [0, *cx.faces()]
 
 
 def variables_ideal(q):
     ring = VariableSet("abcdefghij"[:q])
-    return MonomialIdeal(ring, [ring.variable(v) for v in ring.names])
+    return MonomialIdeal(ring, [ring.parse(v) for v in ring.names])
 
 
 def test_gf2_rank():
@@ -138,6 +138,20 @@ def test_graded_betti_rejects_zero_ideal_and_capacity():
     big = variables_ideal(10)
     with pytest.raises(CapacityError):
         graded_betti(big, cap=8)
+
+
+@pytest.mark.parametrize("oracle", [graded_betti, graded_betti_via_interval])
+def test_both_routes_reject_the_unit_ideal(oracle):
+    # 1 packs to the empty lcm, so no lattice element would carry beta_0
+    ring = VariableSet("a")
+    with pytest.raises(ValueError, match="unit ideal"):
+        oracle(MonomialIdeal(ring, [ring.one()]))
+
+
+@pytest.mark.parametrize("tag", ["f2", "gf(2)", "GF2", "rat", "q", "Rational"])
+def test_field_tags_are_gf2_and_rational_only(tag):
+    with pytest.raises(ValueError, match="unknown field tag"):
+        graded_betti(variables_ideal(2), tag)
 
 
 def test_graded_entries_locate_first_syzygy():

@@ -266,6 +266,27 @@ def test_betti_on_file_without_generators_exits_2(tmp_path, capsys, document, fi
         assert captured.err.count("\n") == 1
 
 
+def test_betti_on_the_unit_ideal_exits_2(tmp_path, capsys):
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps({"variables": ["a"], "generators": ["1"]}))
+    assert main(["betti", "--ideal", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("morseres: error: ")
+    assert "unit ideal" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tag", ["q", "f2", "GF2"])
+def test_betti_field_takes_gf2_or_rational_only(tmp_path, capsys, tag):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"variables": ["a", "b"], "generators": ["a", "b"]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "--ideal", str(path), "--field", tag])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 # SHA-256 of `betti --graded` stdout; the minimalized I2 square has lcms
 # with exponent 2, so the rows' (degree, exponents) order is pinned where
 # exponents matter

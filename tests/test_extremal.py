@@ -20,7 +20,7 @@ from morseres.relations import (
     relation_holds,
     square_relation_families,
 )
-from morseres.sampling import random_squarefree_ideal
+from morseres.sampling import random_ideals
 
 
 def test_admissible_subsets_one_relation():
@@ -151,8 +151,10 @@ def test_subset_name_rendering():
 
 @pytest.mark.parametrize("q, s", [(4, 2), (3, 4), (2, 2), (5, 6)])
 def test_every_caller_rejects_s_outside_3_to_q(q, s):
-    for call in (check_qs, pd_formula, random_squarefree_ideal, matching_l2,
-                 square_relation_families):
+    def draw(q, s):
+        return next(random_ideals(1, q, s))
+
+    for call in (check_qs, pd_formula, draw, matching_l2, square_relation_families):
         with pytest.raises(ValueError, match="need 3 <= s <= q"):
             call(q, s)
 

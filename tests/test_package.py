@@ -12,6 +12,26 @@ def test_all_lists_public_names_and_no_modules():
     assert {"l2", "matching_l2", "graded_betti", "VariableSet"} <= set(morseres.__all__)
 
 
+# One public name per question; a new alias or entry point shows up here.
+PUBLIC_NAMES = [
+    "BettiTable", "DivRel", "LabeledComplex", "Matching", "MatchingSpec", "Monomial",
+    "MonomialIdeal", "MorseComplex", "RelationReport", "SimplicialComplex", "VariableSet",
+    "admissible_subsets", "all_relations", "build_matching", "critical_cells",
+    "critical_closed_form_l2", "critical_counts", "extremal_generators", "graded_betti",
+    "graded_betti_via_interval", "gradient_cell_order", "is_acyclic", "is_homogeneous", "l2",
+    "l2_face_relations", "lcm_of", "matching_l2", "minimal_relations", "minimality_audit",
+    "morse_complex", "n2_pairs", "pd_formula", "power_generators",
+    "predicted_minimal_square_relations", "predicted_square_relations",
+    "projective_dimension", "prune_taylor_first_power", "random_ideals",
+    "random_squarefree_ideal", "relation_holds", "single_relation", "taylor", "total_betti",
+    "verify_square_characterization",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(morseres.__all__) == PUBLIC_NAMES
+
+
 def test_star_import_binds_no_submodule():
     namespace = {}
     exec("from morseres import *", namespace)

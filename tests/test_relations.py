@@ -67,7 +67,7 @@ def test_all_relations_i2():
 
 def test_all_relations_variables_have_no_minimal():
     ring = VariableSet("abcd")
-    ideal = MonomialIdeal(ring, [ring.variable(v) for v in "abcd"])
+    ideal = MonomialIdeal(ring, [ring.parse(v) for v in "abcd"])
     report = all_relations(ideal)
     assert report.minimal == ()
     nontrivial = [r for r in report.all if not r.trivial]
@@ -86,7 +86,7 @@ def test_all_relations_agree_with_relation_holds_on_a_square():
 
 def test_all_relations_capacity():
     ring = VariableSet("abcdefghijklmn")
-    ideal = MonomialIdeal(ring, [ring.variable(v) for v in "abcdefghijklm"])
+    ideal = MonomialIdeal(ring, [ring.parse(v) for v in "abcdefghijklm"])
     with pytest.raises(CapacityError):
         all_relations(ideal)
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from morseres.sampling import random_ideals, random_squarefree_ideal
+from morseres.sampling import random_ideals
 
 # SHA-256 of the JSON (sort_keys) of the to_dict() list of
 # random_ideals(1000, q=4, s=3, seed=0); any change to the sampler's
@@ -20,7 +20,7 @@ def test_sampler_stream_is_pinned():
 @pytest.mark.parametrize("num_vars", [-1, 0, 1, 17])
 def test_sampler_rejects_variable_counts_it_cannot_draw_from(num_vars):
     with pytest.raises(ValueError, match="num_vars"):
-        random_squarefree_ideal(q=4, s=3, num_vars=num_vars)
+        next(random_ideals(1, q=4, s=3, num_vars=num_vars))
 
 
 def test_sampler_draws_minimal_ideals_with_the_relation():
