@@ -151,14 +151,12 @@ class BettiTable:
     q: int
     entries: tuple[tuple[int, int, int], ...]
 
-    def total(self, length: int | None = None) -> tuple[int, ...]:
+    def total(self) -> tuple[int, ...]:
+        """Total Betti numbers per homological degree, up to the top one."""
         acc: dict[int, int] = {}
         for i, _, v in self.entries:
             acc[i] = acc.get(i, 0) + v
-        top = max(acc, default=0)
-        if length is None:
-            length = top + 1
-        return tuple(acc.get(i, 0) for i in range(length))
+        return tuple(acc.get(i, 0) for i in range(max(acc, default=0) + 1))
 
     @property
     def projective_dimension(self) -> int:
@@ -373,10 +371,8 @@ def graded_betti_via_interval(ideal: MonomialIdeal, field: str = GF2) -> BettiTa
     return BettiTable(ideal.ring, field, ideal.q, tuple(sorted(entries)))
 
 
-def total_betti(
-    ideal: MonomialIdeal, field: str = GF2, length: int | None = None
-) -> tuple[int, ...]:
-    return graded_betti(ideal, field).total(length)
+def total_betti(ideal: MonomialIdeal, field: str = GF2) -> tuple[int, ...]:
+    return graded_betti(ideal, field).total()
 
 
 def projective_dimension(ideal: MonomialIdeal, field: str = GF2) -> int:

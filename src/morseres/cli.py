@@ -35,6 +35,11 @@ def _emit(payload, args, csv_rows=None) -> None:
         sys.stdout.write(text)
 
 
+def _padded(counts, width: int) -> list[int]:
+    """``counts`` padded with zeros to ``width`` entries, never cut short."""
+    return [*counts, *[0] * (width - len(counts))]
+
+
 def _parse_rel(text: str) -> tuple[int, frozenset[int]]:
     b, _, rest = text.partition(":")
     members = frozenset(int(x) for x in rest.replace(" ", "").split(",") if x)
@@ -65,10 +70,9 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_relations(args) -> int:
-    # all_relations holds every relation that holds in memory: about 240 MB
-    # at 14 generators, four to five times more for each two more
-    if args.limit > 16:
-        raise ValueError(f"--limit must be at most 16, got {args.limit}")
+    ceiling = rel_mod.BRUTE_FORCE_CEILING
+    if args.limit > ceiling:
+        raise ValueError(f"--limit must be at most {ceiling}, got {args.limit}")
     ideal = MonomialIdeal.load(args.ideal)
     report = rel_mod.all_relations(ideal, limit=args.limit)
     payload = report.to_dict()
@@ -80,72 +84,44 @@ def cmd_relations(args) -> int:
 
 def cmd_complex(args) -> int:
     cx = taylor(args.q) if args.type == "taylor" else l2(args.q)
+    payload = {"schema": 1, "type": args.type, "q": args.q}
     if args.faces:
-        payload = {
-            "schema": 1,
-            "type": args.type,
-            "q": args.q,
-            "faces": [_face_json(cx, m) for m in cx.faces()],
-        }
+        payload["faces"] = [_face_json(cx, m) for m in cx.faces()]
     else:
-        payload = {
-            "schema": 1,
-            "type": args.type,
-            "q": args.q,
-            "fvector": list(cx.f_vector()),
-        }
+        payload["fvector"] = list(cx.f_vector())
     _emit(payload, args)
     return 0
 
 
 def cmd_morse(args) -> int:
     q, s = args.q, args.s
+    payload = {"schema": 1, "q": q, "s": s}
     if args.emit == "matching":
         spec, matching = morse_mod.matching_l2(q, s)
         cx = spec.complex
-        payload = {
-            "schema": 1,
-            "q": q,
-            "s": s,
-            "pivots": [_face_json(cx, f) for f in spec.order],
-            "edges": [
-                [_face_json(cx, big), _face_json(cx, small)]
-                for big, small in matching.pairs
-            ],
-        }
+        payload["pivots"] = [_face_json(cx, f) for f in spec.order]
+        payload["edges"] = [
+            [_face_json(cx, big), _face_json(cx, small)] for big, small in matching.pairs
+        ]
         _emit(payload, args)
         return 0
     mc = morse_mod.morse_complex(q, s)
     cx = l2(q)
     if args.emit == "cells":
-        payload = {
-            "schema": 1,
-            "q": q,
-            "s": s,
-            "counts": list(morse_mod.critical_counts(q, s)),
-            "cells": [[_face_json(cx, f) for f in group] for group in mc.cells],
-        }
+        payload["counts"] = list(map(len, mc.cells))
+        payload["cells"] = [[_face_json(cx, f) for f in group] for group in mc.cells]
         _emit(payload, args)
-        return 0
-    if args.emit == "order":
-        payload = {
-            "schema": 1,
-            "q": q,
-            "s": s,
-            "order": [
-                [_face_json(cx, t), _face_json(cx, s_)] for s_, t in sorted(mc.order)
-            ],
-        }
+    elif args.emit == "order":
+        payload["order"] = [
+            [_face_json(cx, t), _face_json(cx, s_)] for s_, t in sorted(mc.order)
+        ]
         _emit(payload, args)
-        return 0
-    lines = [f'digraph cells_q{q}_s{s} {{']
-    for group in mc.cells:
-        for f in group:
-            lines.append(f'  "{_face_name(cx, f)}";')
-    for s_, t in sorted(mc.order):
-        lines.append(f'  "{_face_name(cx, t)}" -> "{_face_name(cx, s_)}";')
-    lines.append("}")
-    _emit("\n".join(lines) + "\n", args)
+    else:
+        lines = [f'digraph cells_q{q}_s{s} {{']
+        lines += [f'  "{_face_name(cx, f)}";' for group in mc.cells for f in group]
+        for s_, t in sorted(mc.order):
+            lines.append(f'  "{_face_name(cx, t)}" -> "{_face_name(cx, s_)}";')
+        _emit("\n".join(lines) + "\n}\n", args)
     return 0
 
 
@@ -192,7 +168,7 @@ def _random_ideals(trials: int, seed: int) -> tuple[MonomialIdeal, ...]:
 
 def suite_table1() -> list[dict]:
     got1 = list(l2(4).f_vector()[1:])
-    got2 = list(morse_mod.critical_counts(4, 3, length=6))
+    got2 = _padded(morse_mod.critical_counts(4, 3), 6)
     return [
         _check("pair-complex q=4 cell counts", got1, [10, 27, 32, 19, 6, 1]),
         _check("pruned q=4 s=3 cell counts", got2, [10, 21, 15, 3, 0, 0]),
@@ -214,13 +190,13 @@ def suite_examples() -> list[dict]:
     sq2 = ideals["I2"].power(2).minimalize()
     sqd = power_generators(4, [(1, {2, 3}), (4, {2, 3})], 2)
     checks = [
-        _check("I1 square Betti", list(betti_mod.total_betti(sq1, length=4)), [10, 17, 9, 1]),
+        _check("I1 square Betti", _padded(betti_mod.total_betti(sq1), 4), [10, 17, 9, 1]),
         _check("I1 square pd", betti_mod.projective_dimension(sq1), 3),
-        _check("I2 square Betti (minimalized)", list(betti_mod.total_betti(sq2, length=4)), [9, 14, 6, 0]),
+        _check("I2 square Betti (minimalized)", _padded(betti_mod.total_betti(sq2), 4), [9, 14, 6, 0]),
         _check("I2 square pd", betti_mod.projective_dimension(sq2), 2),
         _check(
             "two-relation extremal square Betti",
-            list(betti_mod.total_betti(sqd, length=4)),
+            _padded(betti_mod.total_betti(sqd), 4),
             [10, 21, 14, 2],
         ),
         _check("two-relation extremal square pd", betti_mod.projective_dimension(sqd), 3),
@@ -261,13 +237,13 @@ def suite_characterization(qmax: int = 5) -> list[dict]:
     if qmax >= 4:
         rep = rel_mod.verify_square_characterization(4, 3, "taylor")
         checks.append(_check("characterization taylor q=4 s=3", len(rep.counterexamples), 0))
-    for q in range(3, min(qmax, 6) + 1):
+    for q in range(3, min(qmax, rel_mod.SCOPE_QMAX["l2"]) + 1):
         for s in range(3, q + 1):
             rep = rel_mod.verify_square_characterization(q, s, "l2")
             checks.append(
                 _check(f"characterization l2 q={q} s={s}", len(rep.counterexamples), 0)
             )
-    for q in range(3, min(qmax, 5) + 1):
+    for q in range(3, min(qmax, rel_mod.AUDIT_QMAX) + 1):
         for s in range(3, q + 1):
             audit = rel_mod.minimality_audit(q, s)
             checks.append(_check(f"minimality audit q={q} s={s}", audit.matches, True))
@@ -352,12 +328,12 @@ def suite_minimality(qmax: int | None = None) -> list[dict]:
 
 
 def suite_upper_bound(trials: int = 100, seed: int = 0) -> list[dict]:
-    bound = morse_mod.critical_counts(4, 3, length=6)
+    bound = morse_mod.critical_counts(4, 3)
     violations = 0
     for ideal in _random_ideals(trials, seed):
         square = ideal.power(2).minimalize()
-        totals = betti_mod.total_betti(square, length=6)
-        if any(b > c for b, c in zip(totals, bound)):
+        totals = betti_mod.total_betti(square)
+        if any(b > c for b, c in zip(totals, _padded(bound, len(totals)))):
             violations += 1
     return [_check(f"Betti bound over {trials} random ideals", violations, 0)]
 
@@ -392,7 +368,7 @@ def suite_first_power() -> list[dict]:
         checks.append(
             _check(
                 f"extremal first-power Betti ({name})",
-                list(betti_mod.total_betti(ideal, length=3)),
+                _padded(betti_mod.total_betti(ideal), 3),
                 [4, 5, 2],
             )
         )
@@ -417,8 +393,9 @@ SUITES = {
 # work: the engine and pd sweeps list the faces of l2(q), which the face
 # walk bound allows up to q = 7, and so does the Betti oracle's suite
 # (its --qmax 7 run took about 200 s and a 1.3 GB peak on a 2-core
-# host); the characterization sweeps and morse_complex stop at q = 6.
-QMAX = {"engine": 7, "pd": 7, "characterization": 6, "cellorder": 6, "minimality": 7}
+# host); the l2 characterization sweep and morse_complex set their own.
+QMAX = {"engine": 7, "pd": 7, "minimality": 7, "characterization": rel_mod.SCOPE_QMAX["l2"],
+        "cellorder": morse_mod.MORSE_COMPLEX_QMAX}
 
 
 def _print_checks(checks: list[dict]) -> bool:

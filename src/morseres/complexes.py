@@ -151,12 +151,11 @@ class LabeledComplex:
     with the lcm of their vertex labels, computed lazily as the OR of the
     generators' packed masks."""
 
-    __slots__ = ("complex", "_masks", "_cache")
+    __slots__ = ("_masks", "_cache")
 
     def __init__(self, complex: SimplicialComplex, ideal: MonomialIdeal):
         if len(ideal.generators) != len(complex.vertices):
             raise ValueError("need exactly one generator per vertex")
-        self.complex = complex
         self._masks = packed_masks(ideal.generators)
         # the empty face is labeled 1 (mask 0), which ends the recursion
         self._cache: dict[int, int] = {0: 0}

@@ -17,13 +17,9 @@ MAX_Q = 16
 
 
 def normalize_relations(relations) -> tuple[tuple[int, frozenset[int]], ...]:
-    """Accept DivRel-like objects or (b, iterable) pairs."""
+    """Check (b, iterable) pairs and freeze each index set."""
     out = []
-    for rel in relations or ():
-        if hasattr(rel, "b") and hasattr(rel, "B"):
-            b, B = rel.b, rel.B
-        else:
-            b, B = rel
+    for b, B in relations or ():
         B = frozenset(int(x) for x in B)
         if not B:
             raise ValueError("relation needs a non-empty index set")

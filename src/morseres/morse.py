@@ -9,8 +9,9 @@ cell of the resolution).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product, repeat
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -268,16 +269,11 @@ def critical_closed_form_l2(q: int, s: int) -> frozenset[int]:
     return frozenset(critical)
 
 
-def critical_counts(q: int, s: int, length: int | None = None) -> tuple[int, ...]:
-    """Number of critical faces per dimension (cardinality minus one)."""
-    counts: dict[int, int] = {}
-    for f in critical_closed_form_l2(q, s):
-        d = f.bit_count() - 1
-        counts[d] = counts.get(d, 0) + 1
-    top = max(counts)
-    if length is None:
-        length = top + 1
-    return tuple(counts.get(d, 0) for d in range(length))
+def critical_counts(q: int, s: int) -> tuple[int, ...]:
+    """Number of critical faces per dimension (cardinality minus one), up
+    to the top dimension."""
+    counts = Counter(f.bit_count() - 1 for f in critical_closed_form_l2(q, s))
+    return tuple(counts[d] for d in range(max(counts) + 1))
 
 
 @dataclass(frozen=True)
@@ -350,33 +346,42 @@ def _lower_cells(regions, s: int, tau: int) -> list[int]:
     return out
 
 
+MORSE_COMPLEX_QMAX = 6  # the largest q at which morse_complex lists cells
+
+
 @dataclass(frozen=True)
 class MorseComplex:
-    """Critical cells of the pair complex ``l2(q)`` grouped by dimension
-    plus the order relation (sigma, tau) among cells of adjacent
-    dimensions."""
+    """Critical cells of the pair complex ``l2(q)`` given (1, {2..s}),
+    grouped by dimension."""
 
+    q: int
+    s: int
     cells: tuple[tuple[int, ...], ...]
-    order: frozenset[tuple[int, int]]
+
+    @cached_property
+    def order(self) -> frozenset[tuple[int, int]]:
+        """The order relation (sigma, tau) among cells of adjacent
+        dimensions, generated per cell by the closed form on first read."""
+        critical = critical_closed_form_l2(self.q, self.s)
+        regions = _regions(self.q, self.s)
+        return frozenset(
+            (sigma, tau)
+            for tau in critical
+            for sigma in _lower_cells(regions, self.s, tau)
+            if sigma in critical
+        )
 
 
 def morse_complex(q: int, s: int) -> MorseComplex:
-    """Cells of the pruned complex and their order, generated per cell
-    by the closed form."""
+    """Cells of the pruned complex from the closed form; the order is
+    built when first read."""
     check_qs(q, s)
-    if q > 6:
-        raise CapacityError(f"morse complex bounded at q <= 6 (got q={q})")
+    if q > MORSE_COMPLEX_QMAX:
+        raise CapacityError(f"morse complex bounded at q <= {MORSE_COMPLEX_QMAX} (got q={q})")
     critical = critical_closed_form_l2(q, s)
     top = max(f.bit_count() for f in critical)
     cells = tuple(
         tuple(sorted(f for f in critical if f.bit_count() == d + 1))
         for d in range(top)
     )
-    regions = _regions(q, s)
-    order = frozenset(
-        (sigma, tau)
-        for tau in critical
-        for sigma in _lower_cells(regions, s, tau)
-        if sigma in critical
-    )
-    return MorseComplex(cells, order)
+    return MorseComplex(q, s, cells)

@@ -19,6 +19,12 @@ from .errors import CapacityError
 from .monomials import MonomialIdeal, lcm_of, packed_masks
 
 BRUTE_FORCE_LIMIT = 12
+# all_relations holds every relation that holds in memory: about 240 MB
+# at 14 generators, four to five times more for each two more
+BRUTE_FORCE_CEILING = 16
+# the largest q of each verify_square_characterization scope and of minimality_audit
+SCOPE_QMAX = {"taylor": 5, "l2": 6}
+AUDIT_QMAX = 5
 
 
 @dataclass(frozen=True)
@@ -284,10 +290,6 @@ class CharacterizationReport:
     holds_count: int
     counterexamples: tuple = field(default=())
 
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
 
 def verify_square_characterization(
     q: int, s: int | None, scope: str
@@ -297,15 +299,13 @@ def verify_square_characterization(
     generator is predicted to divide the label of sigma when some
     predicted relation (v, B) has B inside sigma.
 
-    scope "taylor" sweeps all subsets of the pair vertices (q <= 5);
-    scope "l2" sweeps faces of the pair complex (q <= 6).
+    scope "taylor" sweeps all subsets of the pair vertices and scope "l2"
+    the faces of the pair complex, each up to its ``SCOPE_QMAX``.
     """
-    if scope not in ("taylor", "l2"):
+    if scope not in SCOPE_QMAX:
         raise ValueError("scope must be 'taylor' or 'l2'")
-    if scope == "taylor" and q > 5:
-        raise CapacityError(f"taylor scope bounded at q <= 5 (got q={q})")
-    if scope == "l2" and q > 6:
-        raise CapacityError(f"l2 scope bounded at q <= 6 (got q={q})")
+    if q > SCOPE_QMAX[scope]:
+        raise CapacityError(f"{scope} scope bounded at q <= {SCOPE_QMAX[scope]} (got q={q})")
 
     rels = extremal.single_relation(s) if s is not None else ()
     square = extremal.extremal_generators(q, rels).power(2)
@@ -358,9 +358,11 @@ class AuditReport:
 def minimality_audit(q: int, s: int) -> AuditReport:
     """Brute-force minimal relations of the extremal square versus the
     predicted minimal families (with the 4b extension filter)."""
-    if not 3 <= s <= q <= 5:
-        raise CapacityError(f"minimality audit bounded at 3 <= s <= q <= 5 (got q={q}, s={s})")
+    if not 3 <= s <= q <= AUDIT_QMAX:
+        raise CapacityError(
+            f"minimality audit bounded at 3 <= s <= q <= {AUDIT_QMAX} (got q={q}, s={s})"
+        )
     square = extremal.power_generators(q, extremal.single_relation(s), 2)
-    brute = minimal_relations(square, limit=16)
+    brute = minimal_relations(square, limit=BRUTE_FORCE_CEILING)
     predicted, dropped = predicted_minimal_square_relations(q, s)
     return AuditReport(q, s, brute, predicted, dropped)

@@ -210,6 +210,41 @@ def test_morse_bytes_at_q6_s3(capsys, emit):
     assert hashlib.sha256(text.encode()).hexdigest() == MORSE_DIGESTS[emit]
 
 
+def test_morse_cells_builds_no_cell_order(monkeypatch, capsys):
+    from morseres import morse
+
+    def refuse(*args):
+        raise AssertionError("the cell order was built")
+
+    monkeypatch.setattr(morse, "_lower_cells", refuse)
+    code, text = run(capsys, "morse", "--q", "6", "--s", "3", "--emit", "cells")
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == MORSE_DIGESTS["cells"]
+    monkeypatch.undo()
+    mc = morse.morse_complex(4, 3)
+    assert mc.order is mc.order
+
+
+def test_betti_vector_longer_than_expected_fails_its_checks(monkeypatch):
+    # one extra entry past every expected width must not be cut off
+    from dataclasses import replace
+
+    from morseres import betti, cli
+
+    graded_betti = betti.graded_betti
+
+    def with_degree_7(*args, **kwargs):
+        table = graded_betti(*args, **kwargs)
+        return replace(table, entries=table.entries + ((7, 1, 1),))
+
+    monkeypatch.setattr(betti, "graded_betti", with_degree_7)
+    examples = {c["name"]: c["ok"] for c in cli.suite_examples()}
+    assert not examples["I1 square Betti"]
+    assert [c["ok"] for c in cli.suite_upper_bound(trials=20)] == [False]
+    first_power = [c["ok"] for c in cli.suite_first_power() if "extremal" in c["name"]]
+    assert first_power == [False, False]
+
+
 def test_failing_check_reports_and_exits_nonzero(capsys, monkeypatch):
     from morseres import cli
 
