@@ -20,7 +20,6 @@ from .relations import (
     DivRel,
     RelationReport,
     all_relations,
-    l2_face_relations,
     minimal_relations,
     minimality_audit,
     predicted_minimal_square_relations,

@@ -37,11 +37,11 @@ def _check_range(q: int, relations) -> None:
             raise ValueError(f"relation ({b}, {sorted(B)}) has indices outside 1..{q}")
 
 
-def subset_name(members: Iterable[int]) -> str:
-    ms = sorted(members)
-    if ms and ms[-1] > 9:
-        return "y_{" + ",".join(map(str, ms)) + "}"
-    return "y_{" + "".join(map(str, ms)) + "}"
+def subset_name(members: Iterable[int], q: int) -> str:
+    """y_A for a subset A of 1..q; with q >= 10 members are comma
+    separated, so that y_{1,2} and y_{12} stay distinct."""
+    sep = "," if q > 9 else ""
+    return "y_{" + sep.join(map(str, sorted(members))) + "}"
 
 
 def admissible_subsets(q: int, relations=()) -> tuple[frozenset[int], ...]:
@@ -65,7 +65,7 @@ def extremal_generators(q: int, relations=()) -> MonomialIdeal:
     the ring holds exactly the admissible subset variables.
     """
     subsets = admissible_subsets(q, relations)
-    ring = VariableSet(subset_name(A) for A in subsets)
+    ring = VariableSet(subset_name(A, q) for A in subsets)
     gens = []
     for i in range(1, q + 1):
         exps = tuple(1 if i in A else 0 for A in subsets)

@@ -258,34 +258,8 @@ def predicted_minimal_square_relations(
 # ---------------------------------------------------------------------------
 
 
-def l2_face_relations(q: int, s: int) -> frozenset[DivRel]:
-    """The relations that decide divisibility between the pair generators
-    of a face of the pair complex, given (1, {2..s}): for every j,
-    (1, j) | {p(k, j) : k = 2..s}; for j > s also every {p(k, t_k)} with
-    t_k in {1, j} using both values, and {(1, k) : k = 2..s} together
-    with p(j, u) for u > s, u != j."""
-    extremal.check_qs(q, s)
-    idx = _pair_index(q)
-    ks = range(2, s + 1)
-    out = set()
-    for j in range(1, q + 1):
-        out.add(DivRel(idx[(1, j)], {idx[_p(k, j)] for k in ks}))
-        if j <= s:
-            continue
-        for t in product((1, j), repeat=len(ks)):
-            if 1 in t and j in t:
-                out.add(DivRel(idx[(1, j)], {idx[_p(k, tk)] for k, tk in zip(ks, t)}))
-        for u in range(s + 1, q + 1):
-            if u != j:
-                out.add(DivRel(idx[(1, j)], {idx[(1, k)] for k in ks} | {idx[_p(j, u)]}))
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class CharacterizationReport:
-    q: int
-    s: int | None
-    scope: str
     pairs_checked: int
     holds_count: int
     counterexamples: tuple = field(default=())
@@ -313,16 +287,12 @@ def verify_square_characterization(
     cx = taylor(len(pairs)) if scope == "taylor" else l2(q)
     labeled = LabeledComplex(cx, square)
     pmasks = packed_masks(square.generators)
-    # with no relation only families 1 and 2 are predicted, and no face of
-    # l2 holds the three pairs either needs, so they predict nothing there
-    if scope == "taylor" or s is None:
-        predicted = predicted_square_relations(q, s)
-    else:
-        predicted = l2_face_relations(q, s)
-    # needs[v] lists the vertex masks of B over the predicted relations (v, B)
+    # a B that is no face lies in no face: dropping it keeps every verdict and keeps needs short
     needs = [[] for _ in pairs]
-    for r in predicted:
-        needs[r.b - 1].append(sum(1 << (k - 1) for k in r.B))
+    for r in predicted_square_relations(q, s):
+        mask = sum(1 << (k - 1) for k in r.B)
+        if cx.is_face(mask):
+            needs[r.b - 1].append(mask)
 
     checked = holds = 0
     bad = []
@@ -339,13 +309,11 @@ def verify_square_characterization(
                     members = tuple(p for k, p in enumerate(pairs) if sigma >> k & 1)
                     bad.append((pairs[v], members))
             checked += 1
-    return CharacterizationReport(q, s, scope, checked, holds, tuple(bad))
+    return CharacterizationReport(checked, holds, tuple(bad))
 
 
 @dataclass(frozen=True)
 class AuditReport:
-    q: int
-    s: int
     brute_minimal: frozenset[DivRel]
     predicted_minimal: frozenset[DivRel]
     dropped_4b: frozenset[DivRel]
@@ -365,4 +333,4 @@ def minimality_audit(q: int, s: int) -> AuditReport:
     square = extremal.power_generators(q, extremal.single_relation(s), 2)
     brute = minimal_relations(square, limit=BRUTE_FORCE_CEILING)
     predicted, dropped = predicted_minimal_square_relations(q, s)
-    return AuditReport(q, s, brute, predicted, dropped)
+    return AuditReport(brute, predicted, dropped)

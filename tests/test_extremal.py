@@ -5,6 +5,7 @@ import pytest
 from morseres.betti import pd_formula
 from morseres.errors import CapacityError
 from morseres.extremal import (
+    MAX_Q,
     admissible_subsets,
     check_qs,
     extremal_generators,
@@ -144,9 +145,18 @@ def test_equal_b_set_divisibility_matches_brute_force(q, s, J):
 
 
 def test_subset_name_rendering():
-    assert subset_name({1, 3, 4}) == "y_{134}"
-    assert subset_name({2}) == "y_{2}"
-    assert subset_name({1, 12}) == "y_{1,12}"
+    assert subset_name({1, 3, 4}, 4) == "y_{134}"
+    assert subset_name({2}, 4) == "y_{2}"
+    assert subset_name({1, 12}, 12) == "y_{1,12}"
+
+
+def test_subset_names_stay_distinct_up_to_max_q():
+    # without one separator per ideal, {12} and {1, 2} both read y_{12}
+    assert subset_name({12}, 12) != subset_name({1, 2}, 12)
+    rels = single_relation(3)
+    ring = extremal_generators(MAX_Q, rels).ring
+    assert len(set(ring.names)) == len(ring) == len(admissible_subsets(MAX_Q, rels))
+    assert power_generators(12, rels, 2).q == 78
 
 
 @pytest.mark.parametrize("q, s", [(4, 2), (3, 4), (2, 2), (5, 6)])

@@ -19,7 +19,7 @@ PUBLIC_NAMES = [
     "admissible_subsets", "all_relations", "build_matching", "critical_cells",
     "critical_closed_form_l2", "critical_counts", "extremal_generators", "graded_betti",
     "graded_betti_via_interval", "gradient_cell_order", "is_acyclic", "is_homogeneous", "l2",
-    "l2_face_relations", "lcm_of", "matching_l2", "minimal_relations", "minimality_audit",
+    "lcm_of", "matching_l2", "minimal_relations", "minimality_audit",
     "morse_complex", "n2_pairs", "pd_formula", "power_generators",
     "predicted_minimal_square_relations", "predicted_square_relations",
     "projective_dimension", "prune_taylor_first_power", "random_ideals",

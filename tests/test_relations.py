@@ -5,6 +5,7 @@ from morseres.complexes import n2_pairs
 from morseres.errors import CapacityError
 from morseres.extremal import power_generators, single_relation
 from morseres.monomials import MonomialIdeal, VariableSet
+from morseres.morse import matching_l2
 from morseres.relations import (
     DivRel,
     all_relations,
@@ -165,6 +166,11 @@ def test_predicted_relations_hold_on_random_squares():
         (5, 4, "l2", 5360, 217),
         (5, 5, "l2", 5360, 5),
         (6, 3, "l2", 246432, 26916),
+        (4, None, "l2", 272, 0),
+        (6, None, "l2", 246432, 0),
+        (6, 4, "l2", 246432, 13588),
+        (6, 5, "l2", 246432, 5131),
+        (6, 6, "l2", 246432, 6),
     ],
 )
 def test_characterization_sweep_counts(q, s, scope, pairs_checked, holds_count):
@@ -179,9 +185,22 @@ def test_characterization_sweep_counts(q, s, scope, pairs_checked, holds_count):
 def test_characterization_reports_wrong_predictions_up_to_the_cap(monkeypatch):
     # predicting no relation misses every one that holds: 23 at (4, 3),
     # 560 at (5, 3) of which the first 32 are kept
-    monkeypatch.setattr(relations, "l2_face_relations", lambda q, s: frozenset())
+    monkeypatch.setattr(relations, "predicted_square_relations", lambda q, s=None: frozenset())
     assert len(verify_square_characterization(4, 3, "l2").counterexamples) == 23
     assert len(verify_square_characterization(5, 3, "l2").counterexamples) == 32
+
+
+@pytest.mark.parametrize("family, missed", [("3a", 4), ("3b", 32), ("4a", 32), ("4b", 8)])
+def test_l2_characterization_reads_each_family(monkeypatch, family, missed):
+    # the l2 sweep checks the paper's families themselves: without any one
+    # of them, divisibilities that hold on faces of l2(5) go unpredicted
+    families = relations.square_relation_families
+
+    def without(q, s=None):
+        return {k: v for k, v in families(q, s).items() if k != family}
+
+    monkeypatch.setattr(relations, "square_relation_families", without)
+    assert len(verify_square_characterization(5, 3, "l2").counterexamples) == missed
 
 
 def test_taylor_characterization_reports_wrong_predictions_up_to_the_cap(monkeypatch):
@@ -192,6 +211,17 @@ def test_taylor_characterization_reports_wrong_predictions_up_to_the_cap(monkeyp
     assert len(verify_square_characterization(2, None, "taylor").counterexamples) == 1
     assert len(verify_square_characterization(3, None, "taylor").counterexamples) == 32
     assert len(verify_square_characterization(4, 3, "taylor").counterexamples) == 32
+
+
+@pytest.mark.parametrize("q, s", [(q, s) for q in range(3, 7) for s in range(3, q + 1)])
+def test_matching_pivots_are_predicted_relations(q, s):
+    # each pivot sigma is matched through omega(sigma) because that pair
+    # generator divides the label of sigma, a relation the paper predicts
+    spec, _ = matching_l2(q, s)
+    predicted = predicted_square_relations(q, s)
+    for sigma in spec.order:
+        B = {k + 1 for k in range(sigma.bit_length()) if sigma >> k & 1}
+        assert DivRel(spec.omega[sigma] + 1, B) in predicted, (q, s, B)
 
 
 def test_characterization_specific_instance():
