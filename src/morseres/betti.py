@@ -9,7 +9,8 @@ lies in every facet, so the subcomplex is a cone and m is skipped; when
 the r minimal sets are pairwise disjoint and cover the support, the
 subcomplex is the boundary of an (r-1)-simplex by the nerve theorem, so
 beta_{r-1,m} = 1 over every field.  Both are read off the generators'
-masks before any face is listed.
+masks before any face is listed, in one pass over the generators per
+element that also gives the support (the generators dividing m).
 Each remaining subcomplex is first collapsed by sequential element
 matchings: for each support vertex v in index order, a surviving face F
 is paired with F + v when both survive.  A sequence of element matchings
@@ -218,10 +219,10 @@ def _divisor_faces(m: int, gmasks: Sequence[int], verts: Sequence[int], need: in
     stack = [(0, 0, 0)]
     while stack:
         face, lcm, start = stack.pop()
-        if not need & ~lcm:
+        if need & lcm == need:
             faces.append(face)
         for t in range(start, len(verts)):
-            if need & ~(lcm | reach[t]):
+            if need & (lcm | reach[t]) != need:
                 break
             nlcm = lcm | gmasks[verts[t]]
             if nlcm != m:
@@ -229,18 +230,18 @@ def _divisor_faces(m: int, gmasks: Sequence[int], verts: Sequence[int], need: in
     return faces
 
 
-def _critical_faces(m: int, gmasks: Sequence[int]) -> list[int]:
+def _critical_faces(m: int, gmasks: Sequence[int], support: Sequence[int]) -> list[int]:
     """Faces of the strict-divisor subcomplex at m, as bitmasks of
     generator indices, left unmatched by the element matchings of its
-    support vertices in index order.
+    support vertices (the generators dividing m) in index order.
 
     No face containing the first support vertex v0 survives its matching,
     and F not containing v0 survives it iff lcm(F) != m = lcm(F + v0), so
     only those F are enumerated.  Each later vertex v then removes the
     survivors F for which F ^ v also survives.
     """
-    v0, *rest = [k for k, g in enumerate(gmasks) if not g & ~m]
-    critical = _divisor_faces(m, gmasks, rest, m & ~gmasks[v0])
+    v0, *rest = support
+    critical = _divisor_faces(m, gmasks, rest, m ^ gmasks[v0])
     for v in rest:
         alive = set(critical)
         critical = [f for f in critical if f ^ 1 << v not in alive]
@@ -260,12 +261,14 @@ def _columns(gmasks: Sequence[int]) -> dict[int, int]:
 
 
 def _minimal_cover(
-    m: int, n: int, support: Sequence[int], gmasks: Sequence[int], cols: dict[int, int]
-) -> int | None:
-    """The reduced homology of the strict-divisor subcomplex at m when its
-    inclusion-minimal sets M_t settle it: 0 for a cone (zero over every
-    field), r >= 1 for the boundary of an (r-1)-simplex (H~_{r-2} = 1
-    over every field), and None when the faces must be listed.
+    m: int, n: int, gmasks: Sequence[int], cols: dict[int, int]
+) -> tuple[int, int | None]:
+    """The support of m, as a bitmask of the indices of the generators
+    dividing m, and the reduced homology of the strict-divisor subcomplex
+    at m when its inclusion-minimal sets M_t settle it: 0 for a cone
+    (zero over every field), r >= 1 for the boundary of an (r-1)-simplex
+    (H~_{r-2} = 1 over every field), and None when the faces must be
+    listed.
 
     A face F over the support has an lcm below m iff it misses some top
     exponent bit t of m (over n variables), that is, avoids the set M_t
@@ -277,23 +280,49 @@ def _minimal_cover(
     (r-2)-sphere.  A top with a unique attainer u gives the minimal set
     {u}, and no other M_t containing u is minimal, so only the tops that
     no such u carries are compared for minimality.
+
+    One pass over the generators finds the support and the bits that
+    at least two support generators carry, so the tops with a unique
+    attainer are the tops outside those bits.  The cone and sphere tests
+    then read only the support generators' masks, and an element each
+    of whose tops is carried by a vertex with a unique top, as most
+    are, is settled at once.  The pass forms no complement: bitwise
+    operations on the negative ints that complements are cost more than
+    on the masks themselves.
     """
-    tops = m & ~(m >> n)
-    once = twice = smask = 0
-    for k in support:
-        a = gmasks[k] & tops
-        twice |= once & a
-        once |= a
-        smask |= 1 << k
-    unique = tops & ~twice
-    covered = carried = 0
-    for k in support:
-        if gmasks[k] & unique:
-            covered |= 1 << k
-            carried |= gmasks[k]
-    r = covered.bit_count()
+    tops = m ^ (m & (m >> n))
+    smask = once = twice = 0
+    support = []
+    for k, g in enumerate(gmasks):
+        if g | m == m:
+            twice |= once & g
+            once |= g
+            smask |= 1 << k
+            support.append(g)
+    unique = tops ^ (tops & twice)
+    r = carried = 0
+    for g in support:
+        if g & unique:
+            r += 1
+            carried |= g
+    rest = tops ^ (tops & carried)
+    if not rest:
+        return smask, r if r == len(support) else 0
+    # the vertices with a unique top, as indices, read off the support
+    # mask in step with the support list; a vertex carrying neither a
+    # unique top nor a top in `rest` is a cone point, as each M_t holding
+    # it also holds some u with a unique top, so strictly contains {u}
+    live = unique | rest
+    covered = 0
+    bits = smask
+    for g in support:
+        low = bits & -bits
+        bits ^= low
+        if not g & live:
+            return smask, 0
+        if g & unique:
+            covered |= low
     disjoint = True
-    rest = tops & ~carried
     sets = set()
     while rest:
         low = rest & -rest
@@ -305,8 +334,8 @@ def _minimal_cover(
             covered |= a
             r += 1
     if covered != smask:
-        return 0
-    return r if disjoint else None
+        return smask, 0
+    return smask, r if disjoint else None
 
 
 # one table: `suite_examples` reads the total and then the pd of each
@@ -325,13 +354,13 @@ def graded_betti(
     cols = _columns(gmasks)
     entries = []
     for m in _lattice(gmasks) - {0}:
-        support = [k for k, g in enumerate(gmasks) if not g & ~m]
-        r = _minimal_cover(m, n, support, gmasks, cols)
+        smask, r = _minimal_cover(m, n, gmasks, cols)
         if r is not None:
             if r:
                 entries.append((r - 1, m, 1))
             continue
-        critical = _critical_faces(m, gmasks)
+        support = [k for k in range(smask.bit_length()) if smask >> k & 1]
+        critical = _critical_faces(m, gmasks, support)
         sizes = {f.bit_count() for f in critical}
         if len(sizes) > 1:
             dims = enumerate(homology_dims(_divisor_faces(m, gmasks, support, 0), field))

@@ -129,13 +129,11 @@ def cmd_betti(args) -> int:
     if args.format == "csv" and not args.graded:
         raise ValueError("--format csv needs --graded; only the graded table has CSV rows")
     ideal = MonomialIdeal.load(args.ideal)
-    table = betti_mod.graded_betti(ideal, args.field)
-    payload = table.to_dict()
+    payload = betti_mod.graded_betti(ideal, args.field).to_dict()
+    rows = [["degree", "lcm", "betti"]]
+    rows += [[g["degree"], g["lcm"], g["betti"]] for g in payload["graded"]]
     if not args.graded:
         payload.pop("graded")
-    rows = [["degree", "lcm", "betti"]] + [
-        [i, str(m), v] for i, m, v in table.graded_rows()
-    ]
     _emit(payload, args, csv_rows=rows)
     return 0
 

@@ -26,7 +26,7 @@ class VariableSet:
     exponent vectors.
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_trie")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -36,6 +36,7 @@ class VariableSet:
             raise ValueError("variable names must be non-empty strings")
         self.names = names
         self._index = {n: i for i, n in enumerate(names)}
+        self._trie = None
 
     def __len__(self) -> int:
         return len(self.names)
@@ -59,11 +60,22 @@ class VariableSet:
         are prefixes of one another (``y_{12}`` and ``y_{123}``, or
         ``a``, ``ab`` and ``bc``) coexist.  ``1`` denotes the empty
         product.  Text with no reading, or with more than one, raises
-        ``ValueError``.
+        ``ValueError``.  The names starting at each position are found
+        by walking a trie of the names, so the work grows with the text,
+        not with the number of names.
         """
         s = re.sub(r"[\s*·]+", "", text)
         if s in ("", "1"):
             return self.one()
+        if self._trie is None:
+            # each node maps a character to the next node, and "" to the
+            # name that ends there
+            self._trie = {}
+            for name in self.names:
+                node = self._trie
+                for ch in name:
+                    node = node.setdefault(ch, {})
+                node[""] = name
         # readings[pos]: number of readings of s[pos:], capped at 2;
         # first[pos]: (name, exponent, end) of one of them
         exponent = re.compile(r"\^(\d+)")
@@ -71,11 +83,13 @@ class VariableSet:
         readings = [0] * n + [1]
         first: list[tuple[str, int, int] | None] = [None] * (n + 1)
         for pos in range(n - 1, -1, -1):
-            for name in self.names:
-                if not s.startswith(name, pos):
+            node, stop = self._trie, pos
+            while stop < n and (node := node.get(s[stop])) is not None:
+                stop += 1
+                name = node.get("")
+                if name is None:
                     continue
-                end = pos + len(name)
-                k = 1
+                end, k = stop, 1
                 m = exponent.match(s, end)
                 if m:
                     k, end = int(m.group(1)), m.end()

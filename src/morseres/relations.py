@@ -244,9 +244,11 @@ def predicted_minimal_square_relations(
     fam = square_relation_families(q, s)
     kept = set(fam["1"] | fam["2"] | fam["3a"] | fam["3b"] | fam["4a"])
     dropped = set()
-    bases = fam["4b"] | fam["3b"]
+    bases: dict[int, list[frozenset[int]]] = {}
+    for o in fam["4b"] | fam["3b"]:
+        bases.setdefault(o.b, []).append(o.B)
     for r in fam["4b"]:
-        if any(o.b == r.b and o.B < r.B for o in bases):
+        if any(B < r.B for B in bases[r.b]):
             dropped.add(r)
         else:
             kept.add(r)

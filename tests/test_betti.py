@@ -231,6 +231,11 @@ def test_pd_formula_values():
         pd_formula(3, 2)
 
 
+def support_of(m, gmasks):
+    """Indices of the generators dividing m, by a direct scan."""
+    return [k for k, g in enumerate(gmasks) if not g & ~m]
+
+
 def rank_route_entries(ideal, field):
     """Graded Betti entries by ranks on every face of every strict-divisor
     subcomplex, with lcms taken on monomials rather than masks and packed
@@ -255,7 +260,7 @@ def test_collapse_falls_back_when_critical_faces_span_two_cardinalities():
     mixed = [
         m
         for m in _lattice(gmasks) - {0}
-        if len({f.bit_count() for f in _critical_faces(m, gmasks)}) > 1
+        if len({f.bit_count() for f in _critical_faces(m, gmasks, support_of(m, gmasks))}) > 1
     ]
     assert mixed
     for field in ("gf2", "rational"):
@@ -300,7 +305,8 @@ def test_extremal_square_q5_matches_cell_counts(s, field):
 def test_extremal_square_q5_needs_no_rank_fallback(s):
     gmasks = packed_masks(power_generators(5, single_relation(s), 2).generators)
     for m in _lattice(gmasks) - {0}:
-        assert len({f.bit_count() for f in _critical_faces(m, gmasks)}) <= 1
+        critical = _critical_faces(m, gmasks, support_of(m, gmasks))
+        assert len({f.bit_count() for f in critical}) <= 1
 
 
 @pytest.mark.parametrize("s", [3, 4, 5, 6])
@@ -323,8 +329,8 @@ def cover_classes(ideal):
     n, cols = len(ideal.ring), _columns(gmasks)
     cones, spheres, rest = [], [], 0
     for m in _lattice(gmasks) - {0}:
-        support = [k for k, g in enumerate(gmasks) if not g & ~m]
-        r = _minimal_cover(m, n, support, gmasks, cols)
+        support = support_of(m, gmasks)
+        _, r = _minimal_cover(m, n, gmasks, cols)
         if r == 0:
             cones.append((m, support))
         elif r is not None:
@@ -332,6 +338,22 @@ def cover_classes(ideal):
         else:
             rest += 1
     return gmasks, cones, spheres, rest
+
+
+SUPPORT_CASES = [
+    power_generators(q, single_relation(s), 2) for q in range(3, 6) for s in range(3, q + 1)
+] + [ideal.power(2).minimalize() for ideal in random_ideals(100, q=4, s=3, seed=7)]
+
+
+def test_one_pass_support_is_the_generators_dividing_each_element():
+    # the support mask read off the cover's single pass, against a
+    # direct scan, on every lattice element of each square
+    for ideal in SUPPORT_CASES:
+        gmasks = packed_masks(ideal.generators)
+        n, cols = len(ideal.ring), _columns(gmasks)
+        for m in _lattice(gmasks) - {0}:
+            smask, _ = _minimal_cover(m, n, gmasks, cols)
+            assert smask == sum(1 << k for k in support_of(m, gmasks)), (ideal, m)
 
 
 CONE_CASES = [power_generators(q, single_relation(s), 2) for q, s in ((3, 3), (4, 3), (4, 4))] + [
@@ -402,7 +424,9 @@ def test_cone_point_test_leaves_only_the_betti_lcms(monkeypatch):
     # before any face is listed
     reached = []
     monkeypatch.setattr(
-        betti, "_critical_faces", lambda m, gmasks: reached.append(m) or _critical_faces(m, gmasks)
+        betti,
+        "_critical_faces",
+        lambda m, gmasks, support: reached.append(m) or _critical_faces(m, gmasks, support),
     )
     counts = {}
     for q in range(3, 6):

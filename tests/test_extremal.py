@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -13,7 +14,7 @@ from morseres.extremal import (
     single_relation,
     subset_name,
 )
-from morseres.monomials import lcm_of
+from morseres.monomials import MonomialIdeal, lcm_of
 from morseres.morse import matching_l2
 from morseres.relations import (
     DivRel,
@@ -157,6 +158,20 @@ def test_subset_names_stay_distinct_up_to_max_q():
     ring = extremal_generators(MAX_Q, rels).ring
     assert len(set(ring.names)) == len(ring) == len(admissible_subsets(MAX_Q, rels))
     assert power_generators(12, rels, 2).q == 78
+
+
+def test_extremal_ideal_file_reads_back_within_budget(tmp_path):
+    # 1,791 subset variables: a parse that tries every name at every
+    # position of each generator's text takes about 50 s on this ideal
+    # on a 2-core host
+    ideal = extremal_generators(11, single_relation(3))
+    path = tmp_path / "e11.json"
+    ideal.save(path)
+    start = time.perf_counter()
+    back = MonomialIdeal.load(path)
+    elapsed = time.perf_counter() - start
+    assert back.generators == ideal.generators
+    assert elapsed < 2, f"load took {elapsed:.2f}s, budget 2s"
 
 
 @pytest.mark.parametrize("q, s", [(4, 2), (3, 4), (2, 2), (5, 6)])

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from morseres import relations
@@ -263,6 +265,32 @@ def test_minimality_audit_dropped_instances():
     base4 = DivRel(idx5[(1, 5)], {idx5[(2, 5)], idx5[(3, 3)], idx5[(4, 4)]})
     assert extension4 in dropped4
     assert base4 in kept4
+
+
+# (len(kept), len(dropped)) of predicted_minimal_square_relations(q, s)
+MINIMAL_SPLIT = {
+    (3, 3): (17, 2), (4, 3): (47, 17), (4, 4): (53, 39), (5, 3): (114, 40),
+    (5, 4): (137, 179), (5, 5): (154, 556), (6, 3): (230, 71), (6, 4): (312, 463),
+    (6, 5): (428, 2274), (6, 6): (522, 8545),
+}
+
+
+@pytest.mark.parametrize("q, s", sorted(MINIMAL_SPLIT))
+def test_minimal_split_drops_exactly_the_4b_extensions(q, s):
+    # a 4b relation is dropped iff some 4b or 3b relation with its b sits
+    # on a proper subset of its B, looked up subset by subset here
+    fam = square_relation_families(q, s)
+    bases = fam["4b"] | fam["3b"]
+    dropped = set()
+    for r in fam["4b"]:
+        members = sorted(r.B)
+        for k in range(1, len(members)):
+            if any(DivRel(r.b, sub) in bases for sub in combinations(members, k)):
+                dropped.add(r)
+                break
+    kept = fam["1"] | fam["2"] | fam["3a"] | fam["3b"] | fam["4a"] | (fam["4b"] - dropped)
+    assert predicted_minimal_square_relations(q, s) == (kept, dropped)
+    assert (len(kept), len(dropped)) == MINIMAL_SPLIT[q, s]
 
 
 def test_minimality_audit_capacity():
