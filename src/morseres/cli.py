@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from functools import lru_cache
 
 from . import betti as betti_mod
@@ -22,17 +23,17 @@ from .sampling import random_ideals
 
 
 def _emit(payload, args, csv_rows=None) -> None:
-    if getattr(args, "format", "json") == "csv" and csv_rows is not None:
-        text = "\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n"
-    elif isinstance(payload, str):
-        text = payload
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write to ``--out`` or stdout: the CSV rows when ``--format csv``
+    asks for them, a string as it is, anything else as indented JSON,
+    streamed to the file rather than built as one string first."""
+    with open(args.out, "w") if getattr(args, "out", None) else nullcontext(sys.stdout) as fh:
+        if getattr(args, "format", "json") == "csv" and csv_rows is not None:
+            fh.write("\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n")
+        elif isinstance(payload, str):
+            fh.write(payload)
+        else:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _padded(counts, width: int) -> list[int]:

@@ -89,11 +89,20 @@ class SimplicialComplex:
             raise CapacityError(
                 f"listing faces walks {walk} facet subsets, above the bound {FACE_WALK_LIMIT}"
             )
-        seen = set()
-        for facet in self.facets:
-            seen.update(submasks(facet))
-        seen.discard(0)
-        faces = sorted(seen)
+        if self.is_void:
+            return ()
+        *rest, top = self.facets
+        # the subsets of the largest facet, by doubling over its bits from
+        # the lowest: increasing mask order with no repeats and no set
+        faces, bits = [0], top
+        while bits:
+            bit = bits & -bits
+            faces += [f | bit for f in faces]
+            bits ^= bit
+        # the other facets add only their subsets the largest one misses
+        faces += {sub for facet in rest for sub in submasks(facet) if sub | top != top}
+        del faces[0]
+        faces.sort()
         faces.sort(key=int.bit_count)
         return tuple(faces)
 

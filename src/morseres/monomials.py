@@ -320,14 +320,25 @@ def packed_masks(monomials: Sequence[Monomial]) -> list[int]:
     return packed
 
 
+# the digits "0" and "1" of a binary string as the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def packed_to_monomial(mask: int, ring: VariableSet) -> Monomial:
-    """Inverse of :func:`packed_masks` for one mask over ``ring``."""
+    """Inverse of :func:`packed_masks` for one mask over ``ring``: the
+    exponent of variable v counts the layers of n bits (n variables)
+    that hold bit v.  Each layer is read whole, through its binary digits
+    as n bytes of 0 or 1, so the work grows with the layers, not with the
+    set bits."""
+    if not mask:
+        return ring.one()
     n = len(ring)
-    exps = [0] * n
+    unit = (1 << n) - 1
+    exps = None
     while mask:
-        low = mask & -mask
-        exps[(low.bit_length() - 1) % n] += 1
-        mask ^= low
+        layer = format(mask & unit, f"0{n}b").encode().translate(_BIT_BYTES)[::-1]
+        exps = layer if exps is None else list(map(operator.add, exps, layer))
+        mask >>= n
     return Monomial(ring, exps)
 
 

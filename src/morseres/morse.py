@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import product, repeat
+from operator import or_, xor
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .complexes import LabeledComplex, SimplicialComplex, _p, l2, submasks, taylor
@@ -76,27 +77,36 @@ def _containment_table(parts: list[int], width: int) -> list[int]:
     return table
 
 
-def _group_index(spec: MatchingSpec) -> Callable[[int], int]:
-    """Map a face to 1 + the index in ``spec.order`` of its largest pivot,
-    0 for none: containment tables over the low and the high half of the
-    pivots' support give the pivots inside a face as bits over the order."""
+def _pivot_tables(spec: MatchingSpec) -> tuple[list[int], list[int], int, int, int]:
+    """Containment tables over the low and the high half of the pivots'
+    support, with the half width and the two halves' masks: a face holds
+    the pivots ``lo[face & low] & hi[face >> h & high]``, as bits over the
+    order."""
     order = spec.order
     width = max(order, default=0).bit_length()
     h = width // 2
     low, high = (1 << h) - 1, (1 << (width - h)) - 1
     lo = _containment_table([sigma & low for sigma in order], h)
     hi = _containment_table([sigma >> h for sigma in order], width - h)
+    return lo, hi, h, low, high
+
+
+def _group_index(spec: MatchingSpec) -> Callable[[int], int]:
+    """Map a face to 1 + the index in ``spec.order`` of its largest pivot,
+    0 for none."""
+    lo, hi, h, low, high = _pivot_tables(spec)
     return lambda face: (lo[face & low] & hi[face >> h & high]).bit_length()
 
 
 def _walk(faces: Iterable[int], spec: MatchingSpec) -> Iterator[tuple[int, int | None]]:
     """Yield (tau, tau ^ v) for each matched edge and (tau, None) for each
-    unmatched face, v being the chosen vertex of tau's group; tau ^ v is in
-    that group too, as v lies outside its pivot.  Faces come in strictly
-    increasing (cardinality, mask) order, so only the faces one cardinality
-    below that lack their v are held, each mapped to itself so that an edge
+    unmatched face, v being the chosen vertex of tau's group (read from
+    the pivot tables as ``_group_index`` does); tau ^ v is in that group
+    too, as v lies outside its pivot.  Faces come in strictly increasing
+    (cardinality, mask) order, so only the faces one cardinality below
+    that lack their v are held, each mapped to itself so that an edge
     reuses the stored int."""
-    group = _group_index(spec)
+    lo, hi, h, low, high = _pivot_tables(spec)
     vbits = [0] + [1 << spec.omega[sigma] for sigma in spec.order]
     below, level = {}, {}
     card, last = 0, -1
@@ -109,7 +119,7 @@ def _walk(faces: Iterable[int], spec: MatchingSpec) -> Iterator[tuple[int, int |
             yield from zip(below, repeat(None))
             below, level, card = level, {}, c
         last = tau
-        v = vbits[group(tau)]
+        v = vbits[(lo[tau & low] & hi[tau >> h & high]).bit_length()]
         if tau & v:
             yield tau, below.pop(tau ^ v, None)
         elif v:
@@ -144,34 +154,47 @@ def is_acyclic(faces: Iterable[int], matching: Matching) -> bool:
     A cycle climbs a reversed matched edge and then drops along an
     inclusion, over and over, so it stays within two adjacent
     cardinalities and passes through bigger partners only: big leads to
-    up[sub] for every facet sub of big that is a face, matched upward and
-    not big's own partner.  The search checks that digraph for a cycle.
-    A bigger partner whose smaller face is not a face has no incoming
-    edge, so it lies on no cycle and is left out.
+    up[big ^ u] for every vertex u of big whose removal leaves a face
+    matched upward, other than big's own partner.  The search checks
+    that digraph for a cycle, with two cuts that keep the verdict exact
+    for any matching:
+
+    - Only swaps that can close a cycle are probed.  Let W be the set of
+      vertices the matched edges add.  Along an edge big -> big' =
+      up[big ^ u], the vertex w' that big' adds is not in big (else
+      w' = u and big' = big), so |big' & W| = |big & W| + 1 - [u in W].
+      No edge lowers |big & W| and a cycle returns to its start, so each
+      of its edges has u in W, and u, not being the vertex big adds, in
+      big's smaller face: only the bits of small & W are probed, and
+      big's own partner is never hit.
+    - A bigger partner whose smaller face is not a face has no incoming
+      edge, so it lies on no cycle: the smaller faces of the partners
+      that have successors are tested against ``faces`` in one pass, and
+      the partners whose smaller face is missing lose their successors.
     """
     up = matching.up
-    inside = up.keys() & faces
-    # rebuilt only when an edge drops out, so a matching on the faces
-    # never holds two up maps at once
-    if len(inside) < len(up):
-        up = {small: up[small] for small in inside}
-    del inside
     if not up:
         return True
-    # facets of big are big ^ bit for each bit, read from two half-width tables
-    width = max(up.values()).bit_length()
+    added = reduce(or_, map(xor, up, up.values()))  # W, the vertices the edges add
+    # the bits of small & W are read from two half-width tables
+    width = added.bit_length()
     h = width // 2
     low = (1 << h) - 1
     lo, hi = _bit_table(h, 0), _bit_table(width - h, h)
     succ: dict[int, tuple[int, ...]] = {}
-    for big in up.values():
-        # big's own partner is always a hit, so only a second hit is a successor
-        out = [up[f] for bit in lo[big & low] + hi[big >> h] if (f := big ^ bit) in up]
-        if len(out) > 1:
-            out.remove(big)
+    sources: set[int] = set()
+    for small, big in up.items():
+        x = small & added
+        out = [up[f] for bit in lo[x & low] + hi[x >> h] if (f := big ^ bit) in up]
+        if out:
             # tuples of ints, unlike lists, leave the cyclic GC's scans
             succ[big] = tuple(out)
-    del up
+            sources.add(small)
+    # what is left are the smaller faces that are not faces
+    sources.difference_update(faces)
+    for small in sources:
+        del succ[up[small]]
+    del sources
 
     # a node is on the current path, still in succ (unvisited), or finished
     on_path: set[int] = set()

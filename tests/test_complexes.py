@@ -178,6 +178,20 @@ def test_face_list_equals_brute_force_enumeration():
         )
 
 
+@pytest.mark.parametrize("facets, kept", [
+    ([], 0),  # the void complex
+    ([[]], 1),  # only the empty face
+    ([[0, 1, 2], [2, 3, 4]], 2),  # two largest facets of equal size, overlapping
+    ([[0, 2, 4], [1, 2, 3], [3, 4], [0, 5]], 4),  # overlapping facets of two sizes
+    ([[0, 1, 2, 3], [1, 2], [2, 4]], 2),  # a dominated facet beside an overlapping one
+    ([[1, 3, 5, 6], [0, 3, 5], [0, 1, 2, 4, 6], [4, 5]], 4),  # the largest given third
+])
+def test_face_list_from_the_largest_facet_equals_brute_force(facets, kept):
+    cx = SimplicialComplex(range(7), facets)
+    assert len(cx.facets) == kept
+    assert list(cx.faces()) == [f for f in brute_force_faces(cx) if f]
+
+
 def test_submasks_walks_every_subset_once():
     for mask in (0, 1, 0b1011, 0b110100):
         got = list(submasks(mask))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -209,6 +211,32 @@ def test_packed_masks_agree_with_monomials():
 def test_packed_to_monomial_inverts_packed_masks(exponents):
     mono = Monomial(RING, exponents)
     assert packed_to_monomial(packed_masks([mono])[0], RING) == mono
+
+
+def per_bit_decode(mask, ring):
+    """The exponent of variable v counts the set bits t*n + v, one bit at a time."""
+    n = len(ring)
+    exps = [0] * n
+    while mask:
+        low = mask & -mask
+        exps[(low.bit_length() - 1) % n] += 1
+        mask ^= low
+    return Monomial(ring, exps)
+
+
+def test_layer_decode_equals_per_bit_decode():
+    rng = random.Random(19)
+    rings = [VariableSet("x"), VariableSet("xy"), RING, VariableSet(f"v{i}" for i in range(70))]
+    for ring in rings:
+        n = len(ring)
+        for _ in range(60):
+            monos = [Monomial(ring, [rng.choice((0, 0, 1, 1, 2, 3, 7)) for _ in range(n)])
+                     for _ in range(rng.randint(1, 3))]
+            masks = packed_masks([*monos, lcm_of(monos)])
+            # a mask whose layers are not nested decodes bit by bit too
+            scattered = rng.getrandbits(n * rng.randint(1, 4))
+            for mask in [*masks, scattered, 0]:
+                assert packed_to_monomial(mask, ring) == per_bit_decode(mask, ring)
 
 
 @given(st.lists(st.integers(0, 4), min_size=7, max_size=7))

@@ -76,13 +76,14 @@ def reachable_anywhere(succ, start):
     return seen
 
 
-def random_matching(faces, seed):
-    """Greedy matching over a shuffled list of inclusion edges."""
+def random_matching(faces, seed, added=-1):
+    """Greedy matching over a shuffled list of inclusion edges, each
+    adding a vertex of the mask ``added`` (any vertex by default)."""
     Y = set(faces)
     rng = random.Random(seed)
     candidates = []
     for f in Y:
-        m = f
+        m = f & added
         while m:
             low = m & -m
             m ^= low
@@ -151,6 +152,23 @@ def test_acyclicity_with_smaller_faces_outside_the_faces():
         outcomes.add(verdict)
     assert outcomes == {True, False}
     assert partly_outside > 0
+
+
+def test_acyclicity_when_the_edges_add_few_vertices():
+    # the edges add 2 or 3 vertices only, so most swaps are never probed
+    rng = random.Random(19)
+    outcomes = set()
+    for everything in (list(l2(3).faces()), list(l2(4).faces()), list(taylor(5).faces())):
+        width = max(everything).bit_length()
+        for seed in range(50):
+            added = sum(1 << v for v in rng.sample(range(width), rng.randint(2, 3)))
+            matching = random_matching(everything, seed, added)
+            assert all((big ^ small) & added for big, small in matching.pairs)
+            for faces in (everything, random_down_closed(everything, rng)):
+                verdict = is_acyclic(faces, matching)
+                assert verdict == reference_acyclic(faces, matching), (seed, added)
+                outcomes.add((faces is everything, verdict))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_acyclicity_accepts_a_one_shot_generator():
