@@ -47,8 +47,6 @@ from .betti import (
     graded_betti,
     graded_betti_via_interval,
     pd_formula,
-    projective_dimension,
-    total_betti,
 )
 from .sampling import random_ideals, random_squarefree_ideal
 

@@ -33,7 +33,6 @@ fraction-free integer elimination for the rationals.  No floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, gcd
 from typing import Sequence
 
@@ -171,15 +170,13 @@ class BettiTable:
         return rows
 
     def to_dict(self) -> dict:
+        """The summary: totals and pd, with no monomial built."""
         return {
             "schema": 1,
             "field": self.field,
             "generators": self.q,
             "total": list(self.total()),
             "projectiveDimension": self.projective_dimension,
-            "graded": [
-                {"degree": i, "lcm": str(m), "betti": v} for i, m, v in self.graded_rows()
-            ],
         }
 
 
@@ -338,9 +335,6 @@ def _minimal_cover(
     return smask, r if disjoint else None
 
 
-# one table: `suite_examples` reads the total and then the pd of each
-# square, and a larger cache would keep every q = 7 table alive
-@lru_cache(maxsize=1)
 def graded_betti(
     ideal: MonomialIdeal, field: str = GF2, cap: int = DEFAULT_GENERATOR_CAP
 ) -> BettiTable:
@@ -398,14 +392,6 @@ def graded_betti_via_interval(ideal: MonomialIdeal, field: str = GF2) -> BettiTa
                 )
         entries.extend((i, m, v) for i, v in enumerate(homology_dims(chains, field)) if v)
     return BettiTable(ideal.ring, field, ideal.q, tuple(sorted(entries)))
-
-
-def total_betti(ideal: MonomialIdeal, field: str = GF2) -> tuple[int, ...]:
-    return graded_betti(ideal, field).total()
-
-
-def projective_dimension(ideal: MonomialIdeal, field: str = GF2) -> int:
-    return graded_betti(ideal, field).projective_dimension
 
 
 def pd_formula(q: int, s: int) -> tuple[int, int]:

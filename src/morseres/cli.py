@@ -130,11 +130,13 @@ def cmd_betti(args) -> int:
     if args.format == "csv" and not args.graded:
         raise ValueError("--format csv needs --graded; only the graded table has CSV rows")
     ideal = MonomialIdeal.load(args.ideal)
-    payload = betti_mod.graded_betti(ideal, args.field).to_dict()
-    rows = [["degree", "lcm", "betti"]]
-    rows += [[g["degree"], g["lcm"], g["betti"]] for g in payload["graded"]]
-    if not args.graded:
-        payload.pop("graded")
+    table = betti_mod.graded_betti(ideal, args.field)
+    payload = table.to_dict()
+    rows = None
+    if args.graded:
+        graded = [[i, str(m), v] for i, m, v in table.graded_rows()]
+        payload["graded"] = [{"degree": i, "lcm": m, "betti": v} for i, m, v in graded]
+        rows = [["degree", "lcm", "betti"], *graded]
     _emit(payload, args, csv_rows=rows)
     return 0
 
@@ -188,26 +190,20 @@ def suite_examples() -> list[dict]:
     sq1 = ideals["I1"].power(2)
     sq2 = ideals["I2"].power(2).minimalize()
     sqd = power_generators(4, [(1, {2, 3}), (4, {2, 3})], 2)
+    t1, t2, td = (betti_mod.graded_betti(sq) for sq in (sq1, sq2, sqd))
     checks = [
-        _check("I1 square Betti", _padded(betti_mod.total_betti(sq1), 4), [10, 17, 9, 1]),
-        _check("I1 square pd", betti_mod.projective_dimension(sq1), 3),
-        _check("I2 square Betti (minimalized)", _padded(betti_mod.total_betti(sq2), 4), [9, 14, 6, 0]),
-        _check("I2 square pd", betti_mod.projective_dimension(sq2), 2),
-        _check(
-            "two-relation extremal square Betti",
-            _padded(betti_mod.total_betti(sqd), 4),
-            [10, 21, 14, 2],
-        ),
-        _check("two-relation extremal square pd", betti_mod.projective_dimension(sqd), 3),
+        _check("I1 square Betti", _padded(t1.total(), 4), [10, 17, 9, 1]),
+        _check("I1 square pd", t1.projective_dimension, 3),
+        _check("I2 square Betti (minimalized)", _padded(t2.total(), 4), [9, 14, 6, 0]),
+        _check("I2 square pd", t2.projective_dimension, 2),
+        _check("two-relation extremal square Betti", _padded(td.total(), 4), [10, 21, 14, 2]),
+        _check("two-relation extremal square pd", td.projective_dimension, 3),
     ]
-    for name, ideal in (("I1 square", sq1), ("I2 square", sq2), ("two-relation square", sqd)):
-        checks.append(
-            _check(
-                f"{name} fields agree",
-                list(betti_mod.total_betti(ideal, "rational")),
-                list(betti_mod.total_betti(ideal, "gf2")),
-            )
-        )
+    for name, ideal, table in (
+        ("I1 square", sq1, t1), ("I2 square", sq2, t2), ("two-relation square", sqd, td)
+    ):
+        rational = betti_mod.graded_betti(ideal, "rational").total()
+        checks.append(_check(f"{name} fields agree", list(rational), list(table.total())))
     return checks
 
 
@@ -267,9 +263,10 @@ def suite_engine(qmax: int = 6) -> list[dict]:
 
 def suite_homogeneity(trials: int = 100, seed: int = 0) -> list[dict]:
     checks = []
+    base = morse_mod.matching_l2(4, 3)
     for q in range(3, 6):
         for s in range(3, q + 1):
-            spec, matching = morse_mod.matching_l2(q, s)
+            spec, matching = base if (q, s) == (4, 3) else morse_mod.matching_l2(q, s)
             labels = LabeledComplex(spec.complex, power_generators(q, single_relation(s), 2))
             checks.append(
                 _check(
@@ -278,7 +275,7 @@ def suite_homogeneity(trials: int = 100, seed: int = 0) -> list[dict]:
                     True,
                 )
             )
-    spec, matching = morse_mod.matching_l2(4, 3)
+    spec, matching = base
     bad = 0
     for ideal in _random_ideals(trials, seed):
         labels = LabeledComplex(spec.complex, ideal.power(2))
@@ -288,6 +285,36 @@ def suite_homogeneity(trials: int = 100, seed: int = 0) -> list[dict]:
     return checks
 
 
+def _minimal_resolution_checks(q: int, s: int) -> list[dict]:
+    """The GF(2) table of the (q, s) extremal square against one closed
+    form of its critical cells; both go when this returns, before the
+    next (q, s) is built."""
+    square = power_generators(q, single_relation(s), 2)
+    table = betti_mod.graded_betti(square, "gf2", cap=square.q)
+    critical = morse_mod.critical_closed_form_l2(q, s)
+    labels = LabeledComplex(l2(q), square)
+    # built as the entries they should equal: at (7, 7) a second list of
+    # its 2,097,585 cells would set the run's peak
+    cells = sorted((f.bit_count() - 1, labels.packed_label(f), 1) for f in critical)
+    return [
+        _check(
+            f"oracle totals equal cell counts q={q} s={s}",
+            list(table.total()),
+            list(morse_mod.counts_by_dimension(critical)),
+        ),
+        _check(
+            f"oracle pd equals formula q={q} s={s}",
+            table.projective_dimension,
+            betti_mod.pd_formula(q, s)[1],
+        ),
+        _check(
+            f"oracle entries equal cell labels q={q} s={s}",
+            list(table.entries) == cells,
+            True,
+        ),
+    ]
+
+
 def suite_minimality(qmax: int | None = None) -> list[dict]:
     """With `qmax`, also every 3 <= s <= q <= qmax over GF(2): the resolution
     is minimal, so each graded entry is one critical cell's (dimension,
@@ -295,34 +322,13 @@ def suite_minimality(qmax: int | None = None) -> list[dict]:
     checks = []
     for q, expected in ((3, [6, 6, 1]), (4, [10, 21, 15, 3])):
         square = power_generators(q, single_relation(3), 2)
-        got = list(betti_mod.total_betti(square))
+        got = list(betti_mod.graded_betti(square).total())
         counts = list(morse_mod.critical_counts(q, 3))
         checks.append(_check(f"oracle equals cell counts q={q} s=3", got, expected))
         checks.append(_check(f"cell counts q={q} s=3", counts, expected))
     for q in range(3, (qmax or 0) + 1):
         for s in range(3, q + 1):
-            square = power_generators(q, single_relation(s), 2)
-            table = betti_mod.graded_betti(square, "gf2", cap=square.q)
-            critical = morse_mod.critical_closed_form_l2(q, s)
-            labels = LabeledComplex(l2(q), square)
-            cells = sorted((f.bit_count() - 1, labels.packed_label(f)) for f in critical)
-            checks += [
-                _check(
-                    f"oracle totals equal cell counts q={q} s={s}",
-                    list(table.total()),
-                    list(morse_mod.critical_counts(q, s)),
-                ),
-                _check(
-                    f"oracle pd equals formula q={q} s={s}",
-                    table.projective_dimension,
-                    betti_mod.pd_formula(q, s)[1],
-                ),
-                _check(
-                    f"oracle entries equal cell labels q={q} s={s}",
-                    list(table.entries) == [(i, m, 1) for i, m in cells],
-                    True,
-                ),
-            ]
+            checks += _minimal_resolution_checks(q, s)
     return checks
 
 
@@ -331,7 +337,7 @@ def suite_upper_bound(trials: int = 100, seed: int = 0) -> list[dict]:
     violations = 0
     for ideal in _random_ideals(trials, seed):
         square = ideal.power(2).minimalize()
-        totals = betti_mod.total_betti(square)
+        totals = betti_mod.graded_betti(square).total()
         if any(b > c for b, c in zip(totals, _padded(bound, len(totals)))):
             violations += 1
     return [_check(f"Betti bound over {trials} random ideals", violations, 0)]
@@ -367,7 +373,7 @@ def suite_first_power() -> list[dict]:
         checks.append(
             _check(
                 f"extremal first-power Betti ({name})",
-                _padded(betti_mod.total_betti(ideal), 3),
+                _padded(betti_mod.graded_betti(ideal).total(), 3),
                 [4, 5, 2],
             )
         )
@@ -391,7 +397,7 @@ SUITES = {
 # The largest --qmax of each suite that takes one, checked before any
 # work: the engine and pd sweeps list the faces of l2(q), which the face
 # walk bound allows up to q = 7, and so does the Betti oracle's suite
-# (its --qmax 7 run took about 200 s and a 1.3 GB peak on a 2-core
+# (its --qmax 7 run takes 2 to 3 minutes and a 0.9 GB peak on a 2-core
 # host); the l2 characterization sweep and morse_complex set their own.
 QMAX = {"engine": 7, "pd": 7, "minimality": 7, "characterization": rel_mod.SCOPE_QMAX["l2"],
         "cellorder": morse_mod.MORSE_COMPLEX_QMAX}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from itertools import product, repeat
 from operator import or_, xor
 from typing import Callable, Iterable, Iterator, Mapping
@@ -274,7 +274,6 @@ def _regions(q: int, s: int):
     return cx, base, mid, tail
 
 
-@lru_cache(maxsize=32)
 def critical_closed_form_l2(q: int, s: int) -> frozenset[int]:
     """Critical faces directly from their description: faces containing
     no type-1/type-2 pivot, plus the base-and-middle family."""
@@ -292,11 +291,16 @@ def critical_closed_form_l2(q: int, s: int) -> frozenset[int]:
     return frozenset(critical)
 
 
-def critical_counts(q: int, s: int) -> tuple[int, ...]:
-    """Number of critical faces per dimension (cardinality minus one), up
-    to the top dimension."""
-    counts = Counter(f.bit_count() - 1 for f in critical_closed_form_l2(q, s))
+def counts_by_dimension(cells: Iterable[int]) -> tuple[int, ...]:
+    """Number of faces per dimension (cardinality minus one), up to the
+    top dimension."""
+    counts = Counter(f.bit_count() - 1 for f in cells)
     return tuple(counts[d] for d in range(max(counts) + 1))
+
+
+def critical_counts(q: int, s: int) -> tuple[int, ...]:
+    """``counts_by_dimension`` of the critical faces."""
+    return counts_by_dimension(critical_closed_form_l2(q, s))
 
 
 @dataclass(frozen=True)
@@ -384,8 +388,8 @@ class MorseComplex:
     @cached_property
     def order(self) -> frozenset[tuple[int, int]]:
         """The order relation (sigma, tau) among cells of adjacent
-        dimensions, generated per cell by the closed form on first read."""
-        critical = critical_closed_form_l2(self.q, self.s)
+        dimensions, generated per cell from ``cells`` on first read."""
+        critical = {f for group in self.cells for f in group}
         regions = _regions(self.q, self.s)
         return frozenset(
             (sigma, tau)

@@ -10,7 +10,7 @@ is exact and each criterion carries its runtime budget.
 import time
 
 from morseres import cli
-from morseres.betti import pd_formula, projective_dimension
+from morseres.betti import graded_betti, pd_formula
 from morseres.complexes import LabeledComplex, l2
 from morseres.extremal import extremal_generators, power_generators, single_relation
 from morseres.morse import critical_cells, matching_l2, morse_complex
@@ -133,8 +133,8 @@ def test_criterion_6_pd_formulas():
     with Budget(120) as b:
         for q, s in pairs(4):
             first, second = pd_formula(q, s)
-            assert projective_dimension(extremal_generators(q, single_relation(s))) == first
-            assert projective_dimension(power_generators(q, single_relation(s), 2)) == second
+            assert graded_betti(extremal_generators(q, single_relation(s))).projective_dimension == first
+            assert graded_betti(power_generators(q, single_relation(s), 2)).projective_dimension == second
         got = passed(cli.suite_pd(6))
     assert got == {f"pd q={q} s={s}": list(pd_formula(q, s)) for q, s in pairs(6)}
     report(6, "pd formulas match the oracle (q<=4) and max cell dims (q<=6)", b)

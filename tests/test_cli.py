@@ -245,6 +245,52 @@ def test_betti_vector_longer_than_expected_fails_its_checks(monkeypatch):
     assert first_power == [False, False]
 
 
+def test_plain_betti_builds_no_graded_row(tmp_path, capsys, monkeypatch):
+    from morseres.betti import BettiTable
+    from morseres.extremal import power_generators, single_relation
+
+    path = tmp_path / "e2.json"
+    power_generators(4, single_relation(3), 2).save(path)
+
+    def refuse(self):
+        raise AssertionError("a graded row was built")
+
+    monkeypatch.setattr(BettiTable, "graded_rows", refuse)
+    code, text = run(capsys, "betti", "--ideal", str(path))
+    assert code == 0
+    assert json.loads(text)["total"] == [10, 21, 15, 3]
+
+
+def test_minimality_sweep_builds_one_closed_form_per_pair(monkeypatch):
+    from collections import Counter
+
+    from morseres import cli, morse
+
+    calls = []
+    closed_form = morse.critical_closed_form_l2
+    monkeypatch.setattr(
+        morse, "critical_closed_form_l2", lambda q, s: calls.append((q, s)) or closed_form(q, s)
+    )
+    cli.suite_minimality()
+    fixed = Counter(calls)
+    calls.clear()
+    checks = cli.suite_minimality(4)
+    assert all(c["ok"] for c in checks)
+    assert Counter(calls) == fixed + Counter([(3, 3), (4, 3), (4, 4)])
+
+
+def test_minimality_qmax_6_bytes(tmp_path, capsys):
+    out = tmp_path / "minimality.json"
+    code, text = run(capsys, "verify", "--suite", "minimality", "--qmax", "6", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1eed6d3e436030d1d6739ce65083ba3aae1549eeb44310a1c15cc670cf448f28"
+    )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "4a0f9461a78bf09579b5ce93b7aed68aa50c114fcedd02cd3a78cf5bd823bdf5"
+    )
+
+
 def test_failing_check_reports_and_exits_nonzero(capsys, monkeypatch):
     from morseres import cli
 

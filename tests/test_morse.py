@@ -374,6 +374,19 @@ def test_morse_complex_order_sizes_at_q6():
         assert sum(map(len, mc.cells)) == len(critical_closed_form_l2(6, s))
 
 
+def test_morse_complex_order_reads_its_own_cells(monkeypatch):
+    from morseres import morse
+
+    calls = []
+    closed_form = morse.critical_closed_form_l2
+    monkeypatch.setattr(
+        morse, "critical_closed_form_l2", lambda q, s: calls.append((q, s)) or closed_form(q, s)
+    )
+    mc = morse_complex(5, 3)
+    assert len(mc.order) > 0
+    assert len(calls) <= 1
+
+
 def naive_partition(faces, spec):
     """Group by the largest contained pivot, scanning the order from the top."""
     groups = {}

@@ -22,14 +22,31 @@ PUBLIC_NAMES = [
     "lcm_of", "matching_l2", "minimal_relations", "minimality_audit",
     "morse_complex", "n2_pairs", "pd_formula", "power_generators",
     "predicted_minimal_square_relations", "predicted_square_relations",
-    "projective_dimension", "prune_taylor_first_power", "random_ideals",
-    "random_squarefree_ideal", "relation_holds", "single_relation", "taylor", "total_betti",
+    "prune_taylor_first_power", "random_ideals",
+    "random_squarefree_ideal", "relation_holds", "single_relation", "taylor",
     "verify_square_characterization",
 ]
 
 
 def test_public_surface_is_pinned():
     assert sorted(morseres.__all__) == PUBLIC_NAMES
+
+
+def test_only_l2_and_the_random_draws_are_memoized():
+    # results live with their caller; `l2` shares one face list and
+    # `report` shares its random draws between two suites
+    import importlib
+    import pkgutil
+
+    cached = set()
+    for info in pkgutil.iter_modules(morseres.__path__):
+        module = importlib.import_module(f"morseres.{info.name}")
+        for value in vars(module).values():
+            members = vars(value).values() if isinstance(value, type) else [value]
+            cached.update(
+                f"{m.__module__}.{m.__qualname__}" for m in members if hasattr(m, "cache_info")
+            )
+    assert cached == {"morseres.complexes.l2", "morseres.cli._random_ideals"}
 
 
 def test_star_import_binds_no_submodule():
