@@ -7,6 +7,7 @@ Faces are plain integers: bitmasks over the complex's vertex list.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError
@@ -92,19 +93,25 @@ class SimplicialComplex:
         if self.is_void:
             return ()
         *rest, top = self.facets
-        # the subsets of the largest facet, by doubling over its bits from
-        # the lowest: increasing mask order with no repeats and no set
-        faces, bits = [0], top
+        # the subsets of the largest facet, one list per cardinality, by
+        # doubling over its bits from the lowest: each new bit tops every
+        # face so far, so each level stays in increasing mask order; the
+        # levels are extended from the top down, each reading the one
+        # below before it grows
+        levels, bits = [[0]], top
         while bits:
             bit = bits & -bits
-            faces += [f | bit for f in faces]
+            levels.append([])
+            for k in range(len(levels) - 1, 0, -1):
+                levels[k] += [f | bit for f in levels[k - 1]]
             bits ^= bit
-        # the other facets add only their subsets the largest one misses
-        faces += {sub for facet in rest for sub in submasks(facet) if sub | top != top}
-        del faces[0]
-        faces.sort()
-        faces.sort(key=int.bit_count)
-        return tuple(faces)
+        # the other facets add only their subsets the largest one misses,
+        # which leave each level nearly sorted
+        for sub in {sub for facet in rest for sub in submasks(facet) if sub | top != top}:
+            levels[sub.bit_count()].append(sub)
+        for level in levels:
+            level.sort()
+        return tuple(chain.from_iterable(levels[1:]))
 
     def faces(self) -> Iterator[int]:
         """Each non-empty face exactly once, ordered by (cardinality, mask)."""

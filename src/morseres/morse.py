@@ -1,6 +1,14 @@
 """Discrete Morse matchings: the generic engine, the specific matching
-that prunes the pair complex under one divisibility relation, critical
-cells in closed form, gradient paths and the resulting cell order.
+that prunes the pair complex under one divisibility relation, gradient
+paths and the resulting cell order.
+
+The critical cells of that matching are also read straight from their
+description, which splits them into three disjoint parts, in two ways:
+``critical_closed_form_l2`` builds each cell as an OR of precomputed
+parts (q <= 7), and ``critical_count_polynomial`` counts them by
+dimension (q <= 16).  Neither lists a face of the pair complex or shares
+code with the engine's face walk, which ``matching_l2`` and
+``is_acyclic`` use and which the two are checked against.
 
 Faces are bitmasks over the ambient complex's vertex list; the empty
 face is excluded from matchings (it is always critical and carries no
@@ -13,12 +21,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product, repeat
+from math import comb
 from operator import or_, xor
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .complexes import LabeledComplex, SimplicialComplex, _p, l2, submasks, taylor
 from .errors import CapacityError
-from .extremal import check_qs
+from .extremal import MAX_Q, check_qs
 
 
 @dataclass(frozen=True)
@@ -274,21 +283,115 @@ def _regions(q: int, s: int):
     return cx, base, mid, tail
 
 
-def critical_closed_form_l2(q: int, s: int) -> frozenset[int]:
-    """Critical faces directly from their description: faces containing
-    no type-1/type-2 pivot, plus the base-and-middle family."""
-    check_qs(q, s)
-    cx, base, mid, tail = _regions(q, s)
-    type1, type2, _ = _pivot_faces(q, s)
-    blockers = [cx.mask(pairs) for pairs, _ in type1 + type2]
+CLOSED_FORM_QMAX = 7  # the largest q at which the critical cells are listed
+COUNT_QMAX = MAX_Q  # the largest q at which they are counted
 
-    survivors = list(cx.faces())
-    for b in blockers:
-        survivors = [f for f in survivors if b & f != b]
-    critical = set(survivors)
-    tails = list(submasks(tail))
-    critical.update(base | g | t for g in submasks(mid) if g for t in tails)
-    return frozenset(critical)
+
+def _sums(*parts: list[int]) -> list[int]:
+    """Every OR of one mask from each part, the parts lying on disjoint bits."""
+    acc = [0]
+    for part in parts:
+        acc = [a | p for a in acc for p in part]
+    return acc
+
+
+def _critical_cells_l2(q: int, s: int) -> Iterator[int]:
+    """Each critical face of ``matching_l2(q, s)`` once, streamed from the
+    three disjoint parts of its description (see
+    ``critical_count_polynomial``): no face of ``l2(q)`` is listed and no
+    blocker is tested, so any q can be streamed."""
+    cx, base, mid, tail = _regions(q, s)
+    ks, js = range(2, s + 1), range(s + 1, q + 1)
+    full = (1 << (s - 1)) - 1
+
+    def edges_to(j: int) -> list[int]:
+        """Entry x: the pairs (k, j) for the k in {2..s} at x's bits."""
+        return [
+            cx.mask([_p(k, j) for n, k in enumerate(ks) if x >> n & 1]) for x in range(full + 1)
+        ]
+
+    ones = edges_to(1)
+    # block faces with no blocker: A = {k : (1, k) in the face} is not all
+    # of {2..s}, and for each j > s the edges (k, j) miss some k outside A;
+    # the other block edges are free
+    frees = list(submasks(mid | tail | cx.mask([(i, j) for i in js for j in js if i < j])))
+    to_tail = [edges_to(j) for j in js]
+    for a in range(full):
+        miss = full ^ a
+        allowed = ([e for x, e in enumerate(t) if miss & ~x] for t in to_tail)
+        for core in _sums([ones[a]], *allowed):
+            # frees ends with 0, and the empty face is no cell
+            yield from map(core.__or__, frees if core else frees[:-1])
+    # star faces holding a loop (i, i) but not i's type-1 blocker
+    for i in range(1, q + 1):
+        loop = cx.mask([(i, i)])
+        rest = cx.mask([_p(k, i) for k in ks]) & ~loop
+        other = cx.mask([_p(i, j) for j in range(1, q + 1)]) & ~(loop | rest)
+        yield from _sums([loop], list(submasks(rest))[1:], list(submasks(other)))
+    # the base-and-middle family: a non-empty middle, any tail
+    yield from _sums([base], list(submasks(mid))[:-1], list(submasks(tail)))
+
+
+def critical_closed_form_l2(q: int, s: int) -> frozenset[int]:
+    """The critical faces of ``matching_l2(q, s)`` read from their
+    description, for q <= ``CLOSED_FORM_QMAX`` (``CapacityError`` above:
+    (8, 3) alone has 20,120,287 cells)."""
+    check_qs(q, s)
+    if q > CLOSED_FORM_QMAX:
+        raise CapacityError(f"critical cells listed at q <= {CLOSED_FORM_QMAX} (got q={q})")
+    return frozenset(_critical_cells_l2(q, s))
+
+
+def critical_count_polynomial(q: int, s: int) -> tuple[int, ...]:
+    """The coefficients (c_0, c_1, ...) of the count polynomial of the
+    critical faces of ``matching_l2(q, s)``: c_{d+1} cells of dimension d,
+    c_0 = 0, and the degree minus one is the top dimension.  Bounded at
+    q <= ``COUNT_QMAX``.
+
+    A face of ``l2(q)`` is a graph on [q] inside the block (no loop), or
+    a loop (i, i) with edges at i.  Let r = s - 1, u = q - s and
+    free = C(r,2) + u + C(u,2).  The critical faces split into three
+    disjoint parts, each counted by cardinality (x marks a vertex):
+
+    - Block faces with no blocker.  Let A be the set of k in {2..s} with
+      (1, k) in the face; A = {2..s} is the type-1 blocker at 1.  For
+      each j > s the type-1 and type-2 blockers at j lie in the face
+      exactly when its edges (k, j) cover {2..s} \\ A.  The C(r,2) middle
+      edges, the u edges (1, j) and the C(u,2) edges among j > s are
+      free: ``sum_{a<r} C(r,a) x^a (1+x)^free [(1+x)^r - x^(r-a) (1+x)^a]^u``.
+    - Star faces holding a loop (i, i) but not i's type-1 blocker
+      {(k, i) : k in 2..s}, the only blocker inside i's star: each is
+      ``x (1+x)^(q-1)`` minus ``x^(r+1) (1+x)^(q-1-r)`` for i = 1 or
+      i > s, and minus ``x^r (1+x)^(q-r)`` for 2 <= i <= s, whose
+      blocker holds the loop.
+    - The base-and-middle family, the base {(1, k) : k in 2..s} plus a
+      non-empty set of middle edges (k, k') in {2..s} plus any tail
+      edges (1, j), j > s: ``x^r ((1+x)^C(r,2) - 1) (1+x)^u``.
+
+    The constant term, the empty face, is dropped.  The sum is taken at
+    x = 2^n, n the number of vertices of ``l2(q)``: every coefficient
+    counts faces, so it is below 2^n and is read back as one n-bit digit.
+    """
+    check_qs(q, s)
+    if q > COUNT_QMAX:
+        raise CapacityError(f"critical cells counted at q <= {COUNT_QMAX} (got q={q})")
+    r, u = s - 1, q - s
+    free = comb(r, 2) + u + comb(u, 2)
+    n = q * (q + 1) // 2
+    x = 1 << n
+
+    def p(e: int) -> int:
+        return (1 + x) ** e
+
+    block = sum(comb(r, a) * x**a * p(free) * (p(r) - x ** (r - a) * p(a)) ** u for a in range(r))
+    stars = q * x * p(q - 1) - (1 + u) * x ** (r + 1) * p(q - 1 - r) - r * x**r * p(q - r)
+    family = x**r * (p(comb(r, 2)) - 1) * p(u)
+    value = block + stars + family - 1
+    coeffs = []
+    while value:
+        coeffs.append(value & (x - 1))
+        value >>= n
+    return tuple(coeffs)
 
 
 def counts_by_dimension(cells: Iterable[int]) -> tuple[int, ...]:
@@ -299,8 +402,9 @@ def counts_by_dimension(cells: Iterable[int]) -> tuple[int, ...]:
 
 
 def critical_counts(q: int, s: int) -> tuple[int, ...]:
-    """``counts_by_dimension`` of the critical faces."""
-    return counts_by_dimension(critical_closed_form_l2(q, s))
+    """The number of critical faces per dimension, read from
+    ``critical_count_polynomial`` with no cell listed (q <= ``COUNT_QMAX``)."""
+    return critical_count_polynomial(q, s)[1:]
 
 
 @dataclass(frozen=True)

@@ -482,7 +482,7 @@ def test_relations_limit_above_16_exits_2(tmp_path, capsys):
         ["verify", "--suite", "characterization", "--qmax", "7"],
         ["report", "--trials", "1", "--qmax", "7"],
         ["verify", "--suite", "engine", "--qmax", "8"],
-        ["verify", "--suite", "pd", "--qmax", "8"],
+        ["verify", "--suite", "pd", "--qmax", "17"],
         ["verify", "--suite", "table1", "--qmax", "4"],
         ["verify", "--suite", "cellorder", "--qmax", "7"],
         ["verify", "--suite", "minimality", "--qmax", "8"],

@@ -3,18 +3,23 @@ from math import comb
 
 import pytest
 
-from morseres.complexes import LabeledComplex, SimplicialComplex, l2, taylor
+from morseres.betti import pd_formula
+from morseres.complexes import LabeledComplex, SimplicialComplex, _p, l2, submasks, taylor
+from morseres.errors import CapacityError
 from morseres.extremal import power_generators, single_relation
 from morseres.monomials import MonomialIdeal, VariableSet, lcm_of
 from morseres.morse import (
     Matching,
     MatchingSpec,
+    _critical_cells_l2,
     _group_index,
     _pivot_faces,
     build_matching,
     critical_cells,
     critical_closed_form_l2,
+    critical_count_polynomial,
     critical_counts,
+    counts_by_dimension,
     gradient_cell_order,
     is_acyclic,
     is_homogeneous,
@@ -99,6 +104,67 @@ def test_critical_cells_formula_equals_incidence(m43):
     matched = {f for pair in matching.pairs for f in pair}
     assert crit == frozenset(cx.faces()) - matched
     assert crit == critical_closed_form_l2(4, 3)
+
+
+def closed_form_by_face_filter(q, s):
+    """The critical faces as the faces of l2(q) containing no type-1 or
+    type-2 pivot, plus the base-and-middle family: the reference the cell
+    generator is checked against."""
+    cx = l2(q)
+    type1, type2, _ = _pivot_faces(q, s)
+    survivors = list(cx.faces())
+    for pairs, _ in type1 + type2:
+        b = cx.mask(pairs)
+        survivors = [f for f in survivors if b & f != b]
+    base = cx.mask([_p(k, 1) for k in range(2, s + 1)])
+    mid = cx.mask([(i, k) for i in range(2, s + 1) for k in range(i + 1, s + 1)])
+    tail = cx.mask([(1, j) for j in range(s + 1, q + 1)])
+    family = {base | g | t for g in submasks(mid) if g for t in submasks(tail)}
+    return frozenset(survivors) | family
+
+
+PAIRS_Q6 = [(q, s) for q in range(3, 7) for s in range(3, q + 1)]
+
+
+@pytest.mark.parametrize("q,s", PAIRS_Q6)
+def test_cell_generator_equals_face_filter(q, s):
+    cells = list(_critical_cells_l2(q, s))
+    assert len(cells) == len(set(cells))
+    assert frozenset(cells) == closed_form_by_face_filter(q, s)
+    assert critical_closed_form_l2(q, s) == frozenset(cells)
+
+
+@pytest.mark.parametrize("q,s", PAIRS_Q6)
+def test_count_polynomial_counts_the_generated_cells(q, s):
+    poly = critical_count_polynomial(q, s)
+    assert poly[0] == 0
+    assert poly[1:] == counts_by_dimension(_critical_cells_l2(q, s)) == critical_counts(q, s)
+
+
+def test_count_polynomial_degree_is_the_pd_formula():
+    for q in range(3, 17):
+        for s in range(3, q + 1):
+            assert len(critical_count_polynomial(q, s)) - 2 == pd_formula(q, s)[1]
+    assert sum(critical_counts(7, 3)) == 231_743
+
+
+@pytest.mark.parametrize("q,s", PAIRS_Q6 + [(7, 3), (7, 7)])
+def test_base_and_middle_family_size(q, s):
+    # the type-1 blocker at 1 lies in no other critical face
+    base = l2(q).mask([(1, k) for k in range(2, s + 1)])
+    family = sum(f & base == base for f in _critical_cells_l2(q, s))
+    assert family == (2 ** comb(s - 1, 2) - 1) * 2 ** (q - s)
+
+
+def test_listing_and_counting_bounds():
+    with pytest.raises(CapacityError):
+        critical_closed_form_l2(8, 3)
+    # no vertex is matched: 136 vertices of l2(16)
+    assert critical_counts(16, 16)[0] == comb(17, 2)
+    with pytest.raises(CapacityError):
+        critical_counts(17, 3)
+    with pytest.raises(ValueError):
+        critical_counts(5, 2)
 
 
 def test_block_is_critical_when_relation_spans_everything():
