@@ -214,20 +214,15 @@ def suite_examples() -> list[dict]:
 
 def suite_pd(qmax: int = 6) -> list[dict]:
     """The pd formulas against the pruned complexes' top dimensions: the
-    first power's pruned simplex, and the square's critical cells, listed
-    up to ``CLOSED_FORM_QMAX`` and counted by their polynomial above."""
+    first power's pruned simplex, and the square's critical cells counted
+    by their polynomial."""
     checks = []
     for q in range(3, qmax + 1):
         for s in range(3, q + 1):
             first, second = betti_mod.pd_formula(q, s)
             gamma = morse_mod.prune_taylor_first_power(q, s).gamma
             got_first = max(f.bit_count() for f in gamma.faces()) - 1
-            if q <= morse_mod.CLOSED_FORM_QMAX:
-                crit = morse_mod.critical_closed_form_l2(q, s)
-                got_second = max(f.bit_count() for f in crit) - 1
-            else:
-                # too many cells to list: the count polynomial's degree
-                got_second = len(morse_mod.critical_count_polynomial(q, s)) - 2
+            got_second = len(morse_mod.critical_counts(q, s)) - 1
             checks.append(
                 _check(f"pd q={q} s={s}", [got_first, got_second], [first, second])
             )

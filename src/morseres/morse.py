@@ -5,10 +5,11 @@ paths and the resulting cell order.
 The critical cells of that matching are also read straight from their
 description, which splits them into three disjoint parts, in two ways:
 ``critical_closed_form_l2`` builds each cell as an OR of precomputed
-parts (q <= 7), and ``critical_count_polynomial`` counts them by
-dimension (q <= 16).  Neither lists a face of the pair complex or shares
-code with the engine's face walk, which ``matching_l2`` and
-``is_acyclic`` use and which the two are checked against.
+parts (q <= 7), and ``critical_counts`` counts them by dimension from
+their count polynomial (q <= 16).  Neither lists a face of the pair
+complex or shares code with the engine's face walk, which
+``matching_l2`` and ``is_acyclic`` use and which the two are checked
+against.
 
 Faces are bitmasks over the ambient complex's vertex list; the empty
 face is excluded from matchings (it is always critical and carries no
@@ -297,8 +298,8 @@ def _sums(*parts: list[int]) -> list[int]:
 
 def _critical_cells_l2(q: int, s: int) -> Iterator[int]:
     """Each critical face of ``matching_l2(q, s)`` once, streamed from the
-    three disjoint parts of its description (see
-    ``critical_count_polynomial``): no face of ``l2(q)`` is listed and no
+    three disjoint parts of its description (see ``critical_counts``): no
+    face of ``l2(q)`` is listed and no
     blocker is tested, so any q can be streamed."""
     cx, base, mid, tail = _regions(q, s)
     ks, js = range(2, s + 1), range(s + 1, q + 1)
@@ -342,11 +343,11 @@ def critical_closed_form_l2(q: int, s: int) -> frozenset[int]:
     return frozenset(_critical_cells_l2(q, s))
 
 
-def critical_count_polynomial(q: int, s: int) -> tuple[int, ...]:
-    """The coefficients (c_0, c_1, ...) of the count polynomial of the
-    critical faces of ``matching_l2(q, s)``: c_{d+1} cells of dimension d,
-    c_0 = 0, and the degree minus one is the top dimension.  Bounded at
-    q <= ``COUNT_QMAX``.
+def critical_counts(q: int, s: int) -> tuple[int, ...]:
+    """The number of critical faces of ``matching_l2(q, s)`` per dimension,
+    up to the top one, with no cell listed: entry d is the coefficient of
+    x^(d+1) in their count polynomial, so the top dimension is its degree
+    minus one.  Bounded at q <= ``COUNT_QMAX``.
 
     A face of ``l2(q)`` is a graph on [q] inside the block (no loop), or
     a loop (i, i) with edges at i.  Let r = s - 1, u = q - s and
@@ -368,9 +369,9 @@ def critical_count_polynomial(q: int, s: int) -> tuple[int, ...]:
       non-empty set of middle edges (k, k') in {2..s} plus any tail
       edges (1, j), j > s: ``x^r ((1+x)^C(r,2) - 1) (1+x)^u``.
 
-    The constant term, the empty face, is dropped.  The sum is taken at
-    x = 2^n, n the number of vertices of ``l2(q)``: every coefficient
-    counts faces, so it is below 2^n and is read back as one n-bit digit.
+    The sum is taken at x = 2^n, n the number of vertices of ``l2(q)``:
+    every coefficient counts faces, so it is below 2^n and is read back as
+    one n-bit digit.  The constant term, the empty face, is dropped.
     """
     check_qs(q, s)
     if q > COUNT_QMAX:
@@ -386,7 +387,7 @@ def critical_count_polynomial(q: int, s: int) -> tuple[int, ...]:
     block = sum(comb(r, a) * x**a * p(free) * (p(r) - x ** (r - a) * p(a)) ** u for a in range(r))
     stars = q * x * p(q - 1) - (1 + u) * x ** (r + 1) * p(q - 1 - r) - r * x**r * p(q - r)
     family = x**r * (p(comb(r, 2)) - 1) * p(u)
-    value = block + stars + family - 1
+    value = (block + stars + family) >> n
     coeffs = []
     while value:
         coeffs.append(value & (x - 1))
@@ -399,12 +400,6 @@ def counts_by_dimension(cells: Iterable[int]) -> tuple[int, ...]:
     top dimension."""
     counts = Counter(f.bit_count() - 1 for f in cells)
     return tuple(counts[d] for d in range(max(counts) + 1))
-
-
-def critical_counts(q: int, s: int) -> tuple[int, ...]:
-    """The number of critical faces per dimension, read from
-    ``critical_count_polynomial`` with no cell listed (q <= ``COUNT_QMAX``)."""
-    return critical_count_polynomial(q, s)[1:]
 
 
 @dataclass(frozen=True)

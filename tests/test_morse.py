@@ -17,7 +17,6 @@ from morseres.morse import (
     build_matching,
     critical_cells,
     critical_closed_form_l2,
-    critical_count_polynomial,
     critical_counts,
     counts_by_dimension,
     gradient_cell_order,
@@ -136,15 +135,13 @@ def test_cell_generator_equals_face_filter(q, s):
 
 @pytest.mark.parametrize("q,s", PAIRS_Q6)
 def test_count_polynomial_counts_the_generated_cells(q, s):
-    poly = critical_count_polynomial(q, s)
-    assert poly[0] == 0
-    assert poly[1:] == counts_by_dimension(_critical_cells_l2(q, s)) == critical_counts(q, s)
+    assert critical_counts(q, s) == counts_by_dimension(_critical_cells_l2(q, s))
 
 
 def test_count_polynomial_degree_is_the_pd_formula():
     for q in range(3, 17):
         for s in range(3, q + 1):
-            assert len(critical_count_polynomial(q, s)) - 2 == pd_formula(q, s)[1]
+            assert len(critical_counts(q, s)) - 1 == pd_formula(q, s)[1]
     assert sum(critical_counts(7, 3)) == 231_743
 
 
