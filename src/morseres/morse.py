@@ -299,8 +299,8 @@ def _sums(*parts: list[int]) -> list[int]:
 def _critical_cells_l2(q: int, s: int) -> Iterator[int]:
     """Each critical face of ``matching_l2(q, s)`` once, streamed from the
     three disjoint parts of its description (see ``critical_counts``): no
-    face of ``l2(q)`` is listed and no
-    blocker is tested, so any q can be streamed."""
+    face of ``l2(q)`` is listed and no blocker is tested, so any q can be
+    streamed."""
     cx, base, mid, tail = _regions(q, s)
     ks, js = range(2, s + 1), range(s + 1, q + 1)
     full = (1 << (s - 1)) - 1
