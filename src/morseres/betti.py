@@ -86,9 +86,7 @@ def exact_rank(columns: Sequence[dict[int, int]]) -> int:
                 new[r] = new.get(r, 0) - cv * v
             col = {r: v for r, v in new.items() if v}
             if col:
-                g = 0
-                for v in col.values():
-                    g = gcd(g, v)
+                g = gcd(*col.values())
                 if g > 1:
                     col = {r: v // g for r, v in col.items()}
         if col:

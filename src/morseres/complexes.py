@@ -11,7 +11,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError
-from .monomials import MonomialIdeal, packed_masks
+from .monomials import MonomialIdeal, packed_masks, subset_lcms
 
 # bound on the subsets walked to list a complex's faces (sum of 2^|facet|);
 # l2(7) walks 2,098,048
@@ -164,23 +164,21 @@ def l2(q: int) -> SimplicialComplex:
 
 class LabeledComplex:
     """Complex plus one monomial generator per vertex; faces are labeled
-    with the lcm of their vertex labels, computed lazily as the OR of the
-    generators' packed masks."""
+    with the lcm of their vertex labels, the OR of the generators' packed
+    masks, read from two subset-lcm tables: one over the low half of the
+    vertex bits and one over the high half (2^14 entries each at
+    ``l2(7)``)."""
 
-    __slots__ = ("_masks", "_cache")
+    __slots__ = ("_lo", "_hi", "_h", "_low")
 
     def __init__(self, complex: SimplicialComplex, ideal: MonomialIdeal):
         if len(ideal.generators) != len(complex.vertices):
             raise ValueError("need exactly one generator per vertex")
-        self._masks = packed_masks(ideal.generators)
-        # the empty face is labeled 1 (mask 0), which ends the recursion
-        self._cache: dict[int, int] = {0: 0}
+        masks = packed_masks(ideal.generators)
+        h = len(masks) // 2
+        self._h, self._low = h, (1 << h) - 1
+        self._lo, self._hi = subset_lcms(masks[:h]), subset_lcms(masks[h:])
 
     def packed_label(self, face: int) -> int:
         """The label of ``face`` as a packed mask (see ``packed_masks``)."""
-        got = self._cache.get(face)
-        if got is None:
-            low = face & -face
-            got = self.packed_label(face ^ low) | self._masks[low.bit_length() - 1]
-            self._cache[face] = got
-        return got
+        return self._lo[face & self._low] | self._hi[face >> self._h]

@@ -320,6 +320,16 @@ def packed_masks(monomials: Sequence[Monomial]) -> list[int]:
     return packed
 
 
+def subset_lcms(masks: Sequence[int]) -> list[int]:
+    """Packed lcm of every subset of ``masks``, indexed by the subset's
+    bitmask: doubling over the masks, each one is joined to every subset
+    of those before it."""
+    table = [0]
+    for g in masks:
+        table += [m | g for m in table]
+    return table
+
+
 # the digits "0" and "1" of a binary string as the bytes 0 and 1
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 

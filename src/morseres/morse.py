@@ -24,7 +24,7 @@ from functools import cached_property, reduce
 from itertools import product, repeat
 from math import comb
 from operator import or_, xor
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .complexes import LabeledComplex, SimplicialComplex, _p, l2, submasks, taylor
 from .errors import CapacityError
@@ -101,17 +101,11 @@ def _pivot_tables(spec: MatchingSpec) -> tuple[list[int], list[int], int, int, i
     return lo, hi, h, low, high
 
 
-def _group_index(spec: MatchingSpec) -> Callable[[int], int]:
-    """Map a face to 1 + the index in ``spec.order`` of its largest pivot,
-    0 for none."""
-    lo, hi, h, low, high = _pivot_tables(spec)
-    return lambda face: (lo[face & low] & hi[face >> h & high]).bit_length()
-
-
 def _walk(faces: Iterable[int], spec: MatchingSpec) -> Iterator[tuple[int, int | None]]:
     """Yield (tau, tau ^ v) for each matched edge and (tau, None) for each
-    unmatched face, v being the chosen vertex of tau's group (read from
-    the pivot tables as ``_group_index`` does); tau ^ v is in that group
+    unmatched face, v being the chosen vertex of tau's group, the group of
+    its largest pivot in ``spec.order`` (read from the pivot tables, whose
+    AND has bit i set for each pivot i in tau); tau ^ v is in that group
     too, as v lies outside its pivot.  Faces come in strictly increasing
     (cardinality, mask) order, so only the faces one cardinality below
     that lack their v are held, each mapped to itself so that an edge

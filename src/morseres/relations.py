@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Sequence
 
 from . import extremal
 from .complexes import LabeledComplex, _p, l2, n2_pairs, taylor
 from .errors import CapacityError
-from .monomials import MonomialIdeal, lcm_of, packed_masks
+from .monomials import MonomialIdeal, lcm_of, packed_masks, subset_lcms
 
 BRUTE_FORCE_LIMIT = 12
 # all_relations holds every relation that holds in memory: about 240 MB
@@ -84,16 +83,6 @@ def relation_holds(ideal: MonomialIdeal, rel: DivRel) -> bool:
     return gens[rel.b - 1].divides(target)
 
 
-def _subset_lcm_table(masks: Sequence[int]) -> list[int]:
-    """Packed lcm of every subset of the generator list, indexed by the
-    subset's bitmask."""
-    table = [0] * (1 << len(masks))
-    for m in range(1, len(table)):
-        low = m & -m
-        table[m] = table[m ^ low] | masks[low.bit_length() - 1]
-    return table
-
-
 def _held_nontrivial(ideal: MonomialIdeal, limit: int):
     """Per generator b (0-based), the set of subset-masks B (b excluded)
     whose lcm is divisible by generator b."""
@@ -103,7 +92,7 @@ def _held_nontrivial(ideal: MonomialIdeal, limit: int):
             f"{g} generators exceeds the brute-force relation bound ({limit})"
         )
     masks = packed_masks(ideal.generators)
-    table = _subset_lcm_table(masks)
+    table = subset_lcms(masks)
     return [
         {m for m in range(1, 1 << g) if not m >> b & 1 and not gen & ~table[m]}
         for b, gen in enumerate(masks)

@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -15,8 +15,10 @@ from morseres.complexes import (
     submasks,
     taylor,
 )
+from morseres.errors import CapacityError
 from morseres.extremal import power_generators, single_relation
-from morseres.monomials import MonomialIdeal, VariableSet
+from morseres.monomials import Monomial, MonomialIdeal, VariableSet, packed_masks
+from morseres.morse import _critical_cells_l2
 
 
 def test_n2_pairs_order():
@@ -140,6 +142,41 @@ def test_labels_match_lcm_of_and_packed_labels():
                 (gens[k] for k in range(len(gens)) if f >> k & 1), ring=square.ring
             )
             assert labels.packed_label(f) == packed_masks([expected])[0]
+
+
+def or_of_vertex_masks(masks, face):
+    """The label of ``face`` as the OR of its vertices' masks, one bit at a time."""
+    label = 0
+    for k, m in enumerate(masks):
+        if face >> k & 1:
+            label |= m
+    return label
+
+
+@pytest.mark.parametrize("cx", [taylor(1), taylor(2), taylor(5), l2(2)], ids=["1", "2", "5", "l2_2"])
+def test_label_tables_split_at_every_vertex_count(cx):
+    # one vertex leaves the low table empty; an odd count makes the high
+    # table the larger one
+    rng = random.Random(len(cx.vertices))
+    ring = VariableSet("abcd")
+    for _ in range(5):
+        gens = [Monomial(ring, [rng.randint(0, 3) for _ in ring.names]) for _ in cx.vertices]
+        labels = LabeledComplex(cx, MonomialIdeal(ring, gens))
+        masks = packed_masks(gens)
+        for f in [0, *cx.faces()]:
+            assert labels.packed_label(f) == or_of_vertex_masks(masks, f), f
+
+
+def test_labels_beyond_the_face_walk_bound():
+    # l2(8) cannot list its faces, but its cells can still be labeled
+    cx = l2(8)
+    with pytest.raises(CapacityError):
+        cx.f_vector()
+    square = power_generators(8, single_relation(3), 2)
+    labels = LabeledComplex(cx, square)
+    masks = packed_masks(square.generators)
+    for f in islice(_critical_cells_l2(8, 3), 20_000):
+        assert labels.packed_label(f) == or_of_vertex_masks(masks, f)
 
 
 def test_labeled_complex_needs_one_generator_per_vertex():

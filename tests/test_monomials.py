@@ -13,6 +13,7 @@ from morseres.monomials import (
     lcm_of,
     packed_masks,
     packed_to_monomial,
+    subset_lcms,
 )
 
 RING = VariableSet("abcdefg")
@@ -205,6 +206,16 @@ def test_packed_masks_agree_with_monomials():
         for b, pb in zip(ms, packed):
             assert (pa & ~pb == 0) == a.divides(b)
             assert pa | pb == packed_masks([a.lcm(b)])[0]
+
+
+def test_subset_lcms_agree_with_lcm_of():
+    ms = [m("a^2b"), m("bc"), m("ac^2d"), m("1"), m("eg^3")]
+    table = subset_lcms(packed_masks(ms))
+    assert len(table) == 1 << len(ms)
+    for x, got in enumerate(table):
+        chosen = [g for k, g in enumerate(ms) if x >> k & 1]
+        assert got == packed_masks([lcm_of(chosen, ring=RING)])[0]
+    assert subset_lcms([]) == [0]
 
 
 @given(st.lists(st.integers(0, 4), min_size=7, max_size=7))

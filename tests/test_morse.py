@@ -12,7 +12,6 @@ from morseres.morse import (
     Matching,
     MatchingSpec,
     _critical_cells_l2,
-    _group_index,
     _pivot_faces,
     build_matching,
     critical_cells,
@@ -30,11 +29,11 @@ from morseres.sampling import random_ideals
 
 
 def groups_of(faces, spec):
-    """The non-empty groups of faces, keyed by the largest pivot they contain."""
-    group = _group_index(spec)
+    """The non-empty groups of faces, keyed by the largest pivot they
+    contain, found by scanning ``spec.order``, not the engine's pivot tables."""
     groups = {}
     for f in faces:
-        if g := group(f):
+        if g := max((i + 1 for i, p in enumerate(spec.order) if p & f == p), default=0):
             groups.setdefault(spec.order[g - 1], set()).add(f)
     return groups
 
