@@ -25,6 +25,18 @@ in every route; 0 is the empty face.  The matchings use only the
 generators' divisibility, nothing of the pair complex or its matching in
 `morse`, so the oracle stays independent of the counts it checks.
 
+The cone and sphere tests run on a chunk of lattice elements at a time,
+each element one lane of W bits in a single int of about 8 KiB (1,024
+lanes of 64 bits, or 256 of 256 bits), so one bitwise operation serves
+the whole chunk.  Every mask and every m >> n fits in W - 1 bits,
+which leaves each lane's top bit as a guard: adding 2^(W-1) - 1 to every
+lane sets a lane's guard bit iff the lane is nonzero, and since no lane
+then reaches 2^W no carry crosses into the next lane, so this nonzero
+test is exact.  The lanes settle every element whose tops are all
+carried by vertices with a unique top, or that has a cone point; only
+the others (29 to 63 per extremal square at q = 5) go through the
+scalar test, which stays the tests' reference, and on to the face route.
+
 A second route through order complexes of open lcm intervals is kept
 for cross-checking.  Ranks are computed exactly: bitsets over GF(2) and
 fraction-free integer elimination for the rationals.  No floats.
@@ -33,8 +45,10 @@ fraction-free integer elimination for the rationals.  No floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, repeat
 from math import comb, gcd
-from typing import Sequence
+from operator import methodcaller
+from typing import Collection, Iterator, Sequence
 
 from .errors import CapacityError, NonMinimalIdealError
 from .extremal import check_qs
@@ -333,6 +347,84 @@ def _minimal_cover(
     return smask, r if disjoint else None
 
 
+# bytes of one lane int in `_lane_covers`: 1,024 lanes of 64 bits, 256
+# of 256 bits.  A chunk's working set, about 90 such ints, then stays
+# under 1 MB; 1,024 lanes of 256 bits raise the q = 7 minimality peak.
+_CHUNK_BYTES = 8192
+
+
+def _lane_covers(
+    elements: Collection[int], n: int, gmasks: Sequence[int]
+) -> Iterator[tuple[int, int | None]]:
+    """The fast path of `_minimal_cover` on `elements`, a chunk at a time:
+    each element with 0 for a cone, r >= 1 for a sphere, or None for an
+    element that `_minimal_cover` must settle, or pass to the face route.
+
+    The elements are lanes of W bits in one int, W - 1 bits enough for
+    every mask and for ``m >> n``, and the top bit of each lane is a
+    guard.  With every lane below 2^(W-1), adding 2^(W-1) - 1 to each
+    lane sets its guard iff the lane is nonzero, and subtracting a lane
+    from 2^(W-1) keeps the guard iff the lane is zero; neither carries
+    into the next lane.  A guard bit t becomes the lane mask
+    ``t - (t >> (W-1))``, and each generator is spread over the lanes
+    once, so no step multiplies: a product by a W-bit mask costs about
+    W/30 times a bitwise step.  A sphere's r is its support size, read
+    from each lane's lowest byte with 255 marking an open lane, so with
+    255 or more generators every lane is left open.
+    """
+    if len(gmasks) >= 255:
+        yield from zip(elements, repeat(None))
+        return
+    w8 = (max(max(g.bit_length() for g in gmasks), n) + 8) // 8
+    w, lanes = 8 * w8, max(1, min(len(elements), _CHUNK_BYTES // w8))
+    size = lanes * w8
+
+    def spread(x: int) -> int:
+        return int.from_bytes(x.to_bytes(w8, "little") * lanes, "little")
+
+    ones = spread(1)
+    guard = ones << (w - 1)
+    half = guard - ones
+    # m >> n, with the bits shifted in from the next lane cleared
+    own = spread((1 << (w - n)) - 1)
+    spread_gmasks = [spread(g) for g in gmasks]
+    rest_of = iter(elements)
+    # a short last chunk leaves its high lanes 0, which are dropped
+    while chunk := list(islice(rest_of, lanes)):
+        m = int.from_bytes(b"".join(map(methodcaller("to_bytes", w8, "little"), chunk)), "little")
+        outside = m ^ ((1 << 8 * size) - 1)
+        once = twice = count = 0
+        support = []
+        for mask in spread_gmasks:
+            # the guard of each lane whose element g divides, then g in those lanes
+            t = (guard - (mask & outside)) & guard
+            low = t >> (w - 1)
+            gs = mask & (t - low)
+            count += low
+            twice |= once & gs
+            once |= gs
+            support.append((t, gs))
+        tops = m ^ (m & m >> n & own)
+        unique = tops ^ (tops & twice)
+        carried = 0
+        for _, gs in support:
+            t = ((gs & unique) + half) & guard
+            carried |= gs & (t - (t >> (w - 1)))
+        rest = tops ^ (tops & carried)
+        # a support vertex with no top in `unique | rest` is a cone point;
+        # when rest is 0 that is a vertex with no unique top, so r < count
+        live = unique | rest
+        cone = 0
+        for t, gs in support:
+            cone |= t ^ (((gs & live) + half) & guard)
+        cone >>= w - 1
+        closed = ((guard - rest) & guard) >> (w - 1)
+        sphere = closed ^ (closed & cone)
+        unsettled = ones ^ (closed | cone)
+        codes = (count & sphere * 255 | unsettled * 255).to_bytes(size, "little")
+        yield from zip(chunk, [None if c == 255 else c for c in codes[: len(chunk) * w8 : w8]])
+
+
 def graded_betti(
     ideal: MonomialIdeal, field: str = GF2, cap: int = DEFAULT_GENERATOR_CAP
 ) -> BettiTable:
@@ -345,8 +437,11 @@ def graded_betti(
     n = len(ideal.ring)
     cols = _columns(gmasks)
     entries = []
-    for m in _lattice(gmasks) - {0}:
-        smask, r = _minimal_cover(m, n, gmasks, cols)
+    lattice = _lattice(gmasks)
+    lattice.discard(0)
+    for m, r in _lane_covers(lattice, n, gmasks):
+        if r is None:
+            smask, r = _minimal_cover(m, n, gmasks, cols)
         if r is not None:
             if r:
                 entries.append((r - 1, m, 1))

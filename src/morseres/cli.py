@@ -404,7 +404,7 @@ SUITES = {
 # The largest --qmax of each suite that takes one, checked before any
 # work: the engine sweep lists the faces of l2(q), which the face walk
 # bound allows up to q = 7, and so does the Betti oracle's suite (its
-# --qmax 7 run takes about 2 minutes and a 0.72 GB peak on a 2-core host);
+# --qmax 7 run takes about 95 s and a 0.71 GB peak on a 2-core host);
 # the pd sweep counts the critical cells up to the count polynomial's
 # bound; the l2 characterization sweep and morse_complex set their own.
 QMAX = {"engine": 7, "pd": morse_mod.COUNT_QMAX, "minimality": 7,

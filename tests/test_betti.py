@@ -1,6 +1,7 @@
 import ast
 import random
 import time
+from itertools import islice
 from math import comb
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from morseres.betti import (
     _columns,
     _critical_faces,
     _divisor_faces,
+    _lane_covers,
     _lattice,
     _minimal_cover,
     exact_rank,
@@ -449,3 +451,83 @@ def test_cone_point_test_leaves_only_the_betti_lcms(monkeypatch):
             assert len(lcms) == len(spheres) + rest
             counts[q, s] = len(lcms), len(reached)
     assert [counts[5, s] for s in (3, 4, 5)] == [(327, 4), (669, 14), (1093, 63)]
+
+
+def lane_open_count(ideal, size=None):
+    """Hand the lattice to the lanes whole, or in pieces of `size`
+    elements; every settled lane must agree with `_minimal_cover` (0 for
+    a cone, r for a sphere).  Returns how many lanes were left open."""
+    gmasks = packed_masks(ideal.generators)
+    n, cols = len(ideal.ring), _columns(gmasks)
+    elements = list(_lattice(gmasks) - {0})
+    size = size or len(elements)
+    left = 0
+    for start in range(0, len(elements), size):
+        chunk = elements[start : start + size]
+        verdicts = list(_lane_covers(chunk, n, gmasks))
+        assert [m for m, _ in verdicts] == chunk
+        for m, v in verdicts:
+            if v is None:
+                left += 1
+            else:
+                assert v == _minimal_cover(m, n, gmasks, cols)[1], (ideal, m)
+    return left
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 6])
+def test_lanes_agree_with_minimal_cover_on_extremal_squares(q):
+    left = [lane_open_count(power_generators(q, single_relation(s), 2)) for s in range(3, q + 1)]
+    if q == 5:
+        # the elements that reach `_minimal_cover` in graded_betti
+        assert left == [29, 53, 63]
+
+
+def test_lanes_agree_with_minimal_cover_on_random_squares():
+    for ideal in random_ideals(100, q=4, s=3, seed=7):
+        lane_open_count(ideal.power(2).minimalize())
+
+
+def test_lanes_agree_with_minimal_cover_on_squarefree_first_powers():
+    # square-free masks are at most n bits wide, so each lane's own
+    # `m >> n` is 0 and all the shift brings in is the next lane's low bits
+    ring = VariableSet("abcdefgh")
+    narrow = MonomialIdeal(ring, [ring.parse(t) for t in ("ab", "bc", "cd", "ad")])
+    cases = [narrow, variables_ideal(5), I1, I2]
+    cases += [extremal_generators(q, single_relation(s)) for q in range(3, 7) for s in range(3, q + 1)]
+    cases += list(random_ideals(20, q=4, s=3, seed=3))
+    for ideal in cases:
+        assert max(packed_masks(ideal.generators)).bit_length() <= len(ideal.ring)
+        lane_open_count(ideal)
+
+
+@pytest.mark.parametrize("size", [1, 1024, 1025])
+def test_lanes_do_not_depend_on_the_chunk_size(size):
+    # 1,667 lattice elements in lanes of 64 bits, 1,024 to a full chunk:
+    # one lane per int; a full chunk, then 643 lanes; a full chunk and a
+    # short one of 1 (its other lanes 0), then 642 lanes
+    assert lane_open_count(power_generators(5, single_relation(5), 2), size) == 63
+
+
+def test_lanes_wider_than_64_bits_on_the_first_q7_chunks():
+    # lanes of 256 bits, 256 to a chunk: the first four chunks
+    square = power_generators(7, single_relation(7), 2)
+    gmasks = packed_masks(square.generators)
+    n, cols = len(square.ring), _columns(gmasks)
+    lattice = _lattice(gmasks)
+    lattice.discard(0)
+    chunk = list(islice(lattice, 1024))
+    assert max(gmasks).bit_length() > 64
+    for m, v in _lane_covers(chunk, n, gmasks):
+        assert v is None or v == _minimal_cover(m, n, gmasks, cols)[1], m
+
+
+@pytest.mark.parametrize("q", [254, 255])
+def test_lane_counts_fit_one_byte_below_255_generators(q):
+    # the product of q variables is the boundary of a (q-1)-simplex; a
+    # count of 255 or more would not fit the byte it is read from, so
+    # with 255 generators every lane is left to `_minimal_cover`
+    gmasks = [1 << k for k in range(q)]
+    top = (1 << q) - 1
+    assert _minimal_cover(top, q, gmasks, _columns(gmasks))[1] == q
+    verdicts = [v for _, v in _lane_covers([top, 1], q, gmasks)]
+    assert verdicts == ([q, 1] if q < 255 else [None, None])

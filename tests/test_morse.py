@@ -13,6 +13,7 @@ from morseres.morse import (
     MatchingSpec,
     _critical_cells_l2,
     _pivot_faces,
+    _pivot_tables,
     build_matching,
     critical_cells,
     critical_closed_form_l2,
@@ -492,6 +493,18 @@ def random_specs(cx, count, seed):
         yield MatchingSpec(cx, tuple(order), omega)
 
 
+def groups_by_pivot_tables(faces, spec):
+    """The non-empty groups as the engine's face walk finds them: the
+    highest bit of the AND of the two pivot tables' entries for a face is
+    its largest pivot's place in ``spec.order``, counted from 1."""
+    lo, hi, h, low, high = _pivot_tables(spec)
+    groups = {}
+    for f in faces:
+        if g := (lo[f & low] & hi[f >> h & high]).bit_length():
+            groups.setdefault(spec.order[g - 1], set()).add(f)
+    return groups
+
+
 @pytest.mark.parametrize("cx", [taylor(5), l2(4)], ids=["taylor5", "l2_4"])
 def test_partition_equals_top_down_scan(cx):
     faces = list(cx.faces())
@@ -500,6 +513,9 @@ def test_partition_equals_top_down_scan(cx):
         assert groups_of(faces, spec) == naive_partition(faces, spec)
         subset = [f for f in faces if rng.random() < 0.4]
         assert groups_of(subset, spec) == naive_partition(subset, spec)
+        # the program's own lookup, as `_walk` makes it
+        for chosen in (faces, subset):
+            assert groups_by_pivot_tables(chosen, spec) == naive_partition(chosen, spec)
 
 
 @pytest.mark.parametrize("cx", [taylor(5), l2(4)], ids=["taylor5", "l2_4"])
