@@ -11,14 +11,31 @@ subcomplex is the boundary of an (r-1)-simplex by the nerve theorem, so
 beta_{r-1,m} = 1 over every field.  Both are read off the generators'
 masks before any face is listed, in one pass over the generators per
 element that also gives the support (the generators dividing m).
-Each remaining subcomplex is first collapsed by sequential element
-matchings: for each support vertex v in index order, a surviving face F
-is paired with F + v when both survive.  A sequence of element matchings
-is acyclic (Jonsson, *Simplicial Complexes of Graphs*), so the survivors
-are the cells of a Morse complex with the same homology.  The first
-matching is applied while enumerating, so the faces it pairs are never
-built.  When every survivor has one cardinality k the Morse complex has
-zero differentials and H~_{k-1} is the number of survivors over every
+
+Most of the remaining elements are settled on a nerve.  Let U be the
+vertices with a unique top (each {u} a minimal M_t), W the rest of the
+support, and B_1..B_p the other minimal sets, each of at least two
+vertices inside W.  A face misses some {u} or misses some B_j, so the
+subcomplex is the union of the boundary of the simplex on U joined with
+the simplex on W and the simplex on U joined with the link G of U, the
+faces of W that miss some B_j.  Both pieces are cones meeting in the
+boundary of U joined with G, so the subcomplex is the |U|-fold
+suspension of G.  The facets of G are the complements W - B_j, and by
+the nerve theorem (Bjorner, *Topological methods*) G has the homotopy
+type of the nerve N, the index sets S of [p] whose B_j do not cover W.
+So beta_{i,m} = dim H~_{i-1-|U|}(N) over every field, and N has 2^p
+candidate faces where the subcomplex has up to 2^|support|; with
+p > |W| the element takes the face route below instead.
+
+Each remaining complex, N or the subcomplex itself, is first collapsed
+by sequential element matchings: for each vertex v in index order, a
+surviving face F is paired with F + v when both survive.  A sequence
+of element matchings is acyclic (Jonsson, *Simplicial Complexes of
+Graphs*), so the survivors are the cells of a Morse complex with the
+same homology.  On the subcomplex the first matching is applied while
+enumerating, so the faces it pairs are never built.  When every
+survivor has one cardinality k the Morse complex has zero
+differentials and H~_{k-1} is the number of survivors over every
 field; otherwise the full face list, from the same walk with no lcm
 required, goes through the rank route below.  A face is a vertex bitmask
 in every route; 0 is the empty face.  The matchings use only the
@@ -35,7 +52,7 @@ then reaches 2^W no carry crosses into the next lane, so this nonzero
 test is exact.  The lanes settle every element whose tops are all
 carried by vertices with a unique top, or that has a cone point; only
 the others (29 to 63 per extremal square at q = 5) go through the
-scalar test, which stays the tests' reference, and on to the face route.
+scalar test, which stays the tests' reference, and on to the nerve.
 
 A second route through order complexes of open lcm intervals is kept
 for cross-checking.  Ranks are computed exactly: bitsets over GF(2) and
@@ -48,11 +65,18 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 from math import comb, gcd
 from operator import methodcaller
-from typing import Collection, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import CapacityError, NonMinimalIdealError
 from .extremal import check_qs
-from .monomials import Monomial, MonomialIdeal, VariableSet, packed_masks, packed_to_monomial
+from .monomials import (
+    Monomial,
+    MonomialIdeal,
+    VariableSet,
+    bit_columns,
+    packed_masks,
+    packed_to_monomial,
+)
 
 GF2 = "gf2"
 RATIONAL = "rational"
@@ -250,34 +274,56 @@ def _critical_faces(m: int, gmasks: Sequence[int], support: Sequence[int]) -> li
     survivors F for which F ^ v also survives.
     """
     v0, *rest = support
-    critical = _divisor_faces(m, gmasks, rest, m ^ gmasks[v0])
-    for v in rest:
-        alive = set(critical)
-        critical = [f for f in critical if f ^ 1 << v not in alive]
-    return critical
+    return _unmatched(_divisor_faces(m, gmasks, rest, m ^ gmasks[v0]), rest)
 
 
-def _columns(gmasks: Sequence[int]) -> dict[int, int]:
-    """For each bit set in some packed mask, keyed by that bit as an int,
-    the bitmask of the generator indices whose mask has it."""
-    cols: dict[int, int] = {}
-    for k, g in enumerate(gmasks):
-        while g:
-            low = g & -g
-            g ^= low
-            cols[low] = cols.get(low, 0) | 1 << k
-    return cols
+def _unmatched(faces: list[int], vertices: Iterable[int]) -> list[int]:
+    """The faces left by the element matchings of `vertices` in turn:
+    each pairs a surviving face F with F ^ v when both survive."""
+    for v in vertices:
+        alive = set(faces)
+        faces = [f for f in faces if f ^ 1 << v not in alive]
+    return faces
+
+
+def _nerve_faces(sets: Sequence[int]) -> list[int]:
+    """The nerve of the complex whose facets are the complements of
+    `sets` in their union W: the index sets S, as bitmasks, with the
+    union of the sets in S short of W, read off a table of those unions
+    built by doubling."""
+    union = [0]
+    for b in sets:
+        union += [x | b for x in union]
+    whole = union[-1]
+    return [k for k, x in enumerate(union) if x != whole]
+
+
+def _collapsed_homology(
+    critical: Sequence[int], faces: Callable[[], list[int]], field: str
+) -> list[tuple[int, int]]:
+    """Each (k, dim H~_{k-1}) with a nonzero dimension, of the complex
+    whose faces `faces()` lists, given `critical`, the faces that a
+    sequence of element matchings leaves unmatched.  The faces are
+    listed only when the critical ones span two cardinalities."""
+    sizes = {f.bit_count() for f in critical}
+    if len(sizes) > 1:
+        return [(k, v) for k, v in enumerate(homology_dims(faces(), field)) if v]
+    return [(k, len(critical)) for k in sizes]
 
 
 def _minimal_cover(
     m: int, n: int, gmasks: Sequence[int], cols: dict[int, int]
-) -> tuple[int, int | None]:
+) -> tuple[int, int | tuple[int, list[int]] | None]:
     """The support of m, as a bitmask of the indices of the generators
     dividing m, and the reduced homology of the strict-divisor subcomplex
     at m when its inclusion-minimal sets M_t settle it: 0 for a cone
     (zero over every field), r >= 1 for the boundary of an (r-1)-simplex
     (H~_{r-2} = 1 over every field), and None when the faces must be
-    listed.
+    listed.  When those sets neither settle it nor number more than
+    the support vertices without a unique top, it is (u, [B_1..B_p]): the
+    u vertices with a unique top and the other minimal sets, with the
+    reduced homology of the nerve of the B_j (see the module docstring)
+    in degree k - 1 - u giving H~_{k-1} of the subcomplex.
 
     A face F over the support has an lcm below m iff it misses some top
     exponent bit t of m (over n variables), that is, avoids the set M_t
@@ -331,20 +377,25 @@ def _minimal_cover(
             return smask, 0
         if g & unique:
             covered |= low
+    u = r
+    width = smask.bit_count() - u
     disjoint = True
     sets = set()
     while rest:
         low = rest & -rest
         rest ^= low
         sets.add(cols[low] & smask)
+    minimal = []
     for a in sets:
         if not any(b != a and not b & ~a for b in sets):
             disjoint = disjoint and not a & covered
             covered |= a
-            r += 1
+            minimal.append(a)
     if covered != smask:
         return smask, 0
-    return smask, r if disjoint else None
+    if disjoint:
+        return smask, u + len(minimal)
+    return smask, (u, minimal) if len(minimal) <= width else None
 
 
 # bytes of one lane int in `_lane_covers`: 1,024 lanes of 64 bits, 256
@@ -435,26 +486,32 @@ def graded_betti(
     _validate_ideal(ideal, cap)
     gmasks = packed_masks(ideal.generators)
     n = len(ideal.ring)
-    cols = _columns(gmasks)
+    cols = bit_columns(gmasks)
     entries = []
     lattice = _lattice(gmasks)
     lattice.discard(0)
     for m, r in _lane_covers(lattice, n, gmasks):
         if r is None:
             smask, r = _minimal_cover(m, n, gmasks, cols)
-        if r is not None:
+        if isinstance(r, int):
             if r:
                 entries.append((r - 1, m, 1))
             continue
-        support = [k for k in range(smask.bit_length()) if smask >> k & 1]
-        critical = _critical_faces(m, gmasks, support)
-        sizes = {f.bit_count() for f in critical}
-        if len(sizes) > 1:
-            dims = enumerate(homology_dims(_divisor_faces(m, gmasks, support, 0), field))
+        if r is None:
+            shift = 0
+            support = [k for k in range(smask.bit_length()) if smask >> k & 1]
+            dims = _collapsed_homology(
+                _critical_faces(m, gmasks, support),
+                lambda: _divisor_faces(m, gmasks, support, 0),
+                field,
+            )
         else:
-            dims = ((k, len(critical)) for k in sizes)
-        entries.extend((i, m, v) for i, v in dims if v)
-    return BettiTable(ideal.ring, field, ideal.q, tuple(sorted(entries)))
+            shift, sets = r
+            nerve = _nerve_faces(sets)
+            dims = _collapsed_homology(_unmatched(nerve, range(len(sets))), lambda: nerve, field)
+        entries.extend((k + shift, m, v) for k, v in dims)
+    entries.sort()
+    return BettiTable(ideal.ring, field, ideal.q, tuple(entries))
 
 
 def graded_betti_via_interval(ideal: MonomialIdeal, field: str = GF2) -> BettiTable:

@@ -19,7 +19,7 @@ from . import morse as morse_mod
 from . import relations as rel_mod
 from .complexes import LabeledComplex, SimplicialComplex, l2, taylor
 from .extremal import extremal_generators, power_generators, single_relation
-from .monomials import MonomialIdeal, VariableSet
+from .monomials import MonomialIdeal, VariableSet, packed_masks
 from .sampling import random_ideals
 
 
@@ -300,9 +300,11 @@ def _minimal_resolution_checks(q: int, s: int) -> list[dict]:
     table = betti_mod.graded_betti(square, "gf2", cap=square.q)
     critical = morse_mod.critical_closed_form_l2(q, s)
     labels = LabeledComplex(l2(q), square)
-    # built as the entries they should equal: at (7, 7) a second list of
-    # its 2,097,585 cells would set the run's peak
-    cells = sorted((f.bit_count() - 1, labels.packed_label(f), 1) for f in critical)
+    # each cell as one int, its dimension above its w-bit packed label, so
+    # the sorted keys follow the entries' order: at (7, 7) a list of
+    # 2,097,585 (dimension, label) tuples would set the run's peak
+    w = max(packed_masks(square.generators)).bit_length()
+    keys = sorted((f.bit_count() - 1) << w | labels.packed_label(f) for f in critical)
     return [
         _check(
             f"oracle totals equal cell counts q={q} s={s}",
@@ -316,7 +318,8 @@ def _minimal_resolution_checks(q: int, s: int) -> list[dict]:
         ),
         _check(
             f"oracle entries equal cell labels q={q} s={s}",
-            list(table.entries) == cells,
+            len(keys) == len(table.entries)
+            and all(v == 1 and k == i << w | m for k, (i, m, v) in zip(keys, table.entries)),
             True,
         ),
     ]
@@ -404,7 +407,7 @@ SUITES = {
 # The largest --qmax of each suite that takes one, checked before any
 # work: the engine sweep lists the faces of l2(q), which the face walk
 # bound allows up to q = 7, and so does the Betti oracle's suite (its
-# --qmax 7 run takes about 95 s and a 0.71 GB peak on a 2-core host);
+# --qmax 7 run takes about 55 s and a 0.58 GB peak on a 2-core host);
 # the pd sweep counts the critical cells up to the count polynomial's
 # bound; the l2 characterization sweep and morse_complex set their own.
 QMAX = {"engine": 7, "pd": morse_mod.COUNT_QMAX, "minimality": 7,

@@ -330,6 +330,18 @@ def subset_lcms(masks: Sequence[int]) -> list[int]:
     return table
 
 
+def bit_columns(masks: Sequence[int]) -> dict[int, int]:
+    """For each bit set in some packed mask, keyed by that bit as an int,
+    the bitmask of the indices of the masks that have it."""
+    cols: dict[int, int] = {}
+    for k, g in enumerate(masks):
+        while g:
+            low = g & -g
+            g ^= low
+            cols[low] = cols.get(low, 0) | 1 << k
+    return cols
+
+
 # the digits "0" and "1" of a binary string as the bytes 0 and 1
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 

@@ -15,7 +15,7 @@ from itertools import product
 from . import extremal
 from .complexes import LabeledComplex, _p, l2, n2_pairs, taylor
 from .errors import CapacityError
-from .monomials import MonomialIdeal, lcm_of, packed_masks, subset_lcms
+from .monomials import MonomialIdeal, bit_columns, lcm_of, packed_masks
 
 BRUTE_FORCE_LIMIT = 12
 # all_relations holds every relation that holds in memory: about 240 MB
@@ -83,36 +83,63 @@ def relation_holds(ideal: MonomialIdeal, rel: DivRel) -> bool:
     return gens[rel.b - 1].divides(target)
 
 
-def _held_nontrivial(ideal: MonomialIdeal, limit: int):
-    """Per generator b (0-based), the set of subset-masks B (b excluded)
-    whose lcm is divisible by generator b."""
+def _missing(c: int, g: int) -> int:
+    """The 2^g-bit int whose bit B is set iff the subset B of range(g),
+    as a bitmask, misses c: built by doubling over the indices outside c."""
+    x = 1
+    for i in range(g):
+        if not c >> i & 1:
+            x |= x << (1 << i)
+    return x
+
+
+def _held_nontrivial(ideal: MonomialIdeal, limit: int) -> tuple[list[int], list[int]]:
+    """Per generator b (0-based), the nonempty subsets B of the other
+    generators whose lcm generator b divides, as a 2^g-bit int with bit B
+    set for each such B; and per generator i, the subsets that miss i,
+    in the same form.
+
+    Generator b divides lcm(B) iff B meets the set C_t of generators
+    carrying t for every bit t of b's mask, so B fails iff it misses some
+    C_t: the held subsets are the B missing b, minus an OR of bitmaps
+    built once per distinct C_t.
+    """
     g = ideal.q
     if g > limit:
         raise CapacityError(
             f"{g} generators exceeds the brute-force relation bound ({limit})"
         )
     masks = packed_masks(ideal.generators)
-    table = subset_lcms(masks)
-    return [
-        {m for m in range(1, 1 << g) if not m >> b & 1 and not gen & ~table[m]}
-        for b, gen in enumerate(masks)
-    ]
+    cols = bit_columns(masks)
+    misses = {c: _missing(c, g) for c in set(cols.values())}
+    singles = [_missing(1 << i, g) for i in range(g)]
+    held = []
+    for b, gen in enumerate(masks):
+        # the empty B is no relation's
+        short = 1
+        for c in {c for t, c in cols.items() if gen & t}:
+            short |= misses[c]
+        held.append(singles[b] & ~short)
+    return held, singles
 
 
-def _minimal_masks(held: set[int]) -> list[int]:
-    """Minimal members of an up-closed family of bitmasks."""
+def _minimal_masks(held: int, singles: list[int]) -> int:
+    """The minimal members of an up-closed family of subsets, held as a
+    bitmap as by `_held_nontrivial`: the B with no B - {i} in the family."""
+    above = 0
+    for i, miss in enumerate(singles):
+        above |= (held & miss) << (1 << i)
+    return held & ~above
+
+
+def _set_bits(x: int) -> list[int]:
+    """The positions of the set bits of x, in increasing order."""
+    digits = format(x, "b")[::-1]
     out = []
-    for m in held:
-        mm = m
-        minimal = True
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            if (m ^ low) in held:
-                minimal = False
-                break
-        if minimal:
-            out.append(m)
+    k = digits.find("1")
+    while k >= 0:
+        out.append(k)
+        k = digits.find("1", k + 1)
     return out
 
 
@@ -123,31 +150,28 @@ def _mask_members(m: int) -> frozenset[int]:
 def minimal_relations(ideal: MonomialIdeal, limit: int = BRUTE_FORCE_LIMIT) -> frozenset[DivRel]:
     """Brute-force minimal divisibility relations (non-trivial, with no
     held relation on a proper subset)."""
-    held = _held_nontrivial(ideal, limit)
-    out = set()
-    for b, got in enumerate(held):
-        for m in _minimal_masks(got):
-            out.add(DivRel(b + 1, _mask_members(m)))
-    return frozenset(out)
+    held, singles = _held_nontrivial(ideal, limit)
+    return frozenset(
+        DivRel(b + 1, _mask_members(m))
+        for b, got in enumerate(held)
+        for m in _set_bits(_minimal_masks(got, singles))
+    )
 
 
 def all_relations(ideal: MonomialIdeal, limit: int = BRUTE_FORCE_LIMIT) -> RelationReport:
     """Every relation (b, B) that holds, the minimal ones, and the count
     of trivial ones (b in B, which always hold)."""
-    g = ideal.q
-    held = _held_nontrivial(ideal, limit)
+    held, singles = _held_nontrivial(ideal, limit)
+    full = (1 << (1 << ideal.q)) - 1
     rels = []
     minimal = []
     trivial_count = 0
-    for b in range(g):
-        bbit = 1 << b
-        for m in range(1, 1 << g):
-            if m & bbit:
-                rels.append(DivRel(b + 1, _mask_members(m)))
-                trivial_count += 1
-        got = held[b]
-        rels.extend(DivRel(b + 1, _mask_members(m)) for m in sorted(got))
-        minimal.extend(DivRel(b + 1, _mask_members(m)) for m in _minimal_masks(got))
+    for b, got in enumerate(held):
+        trivial = _set_bits(full ^ singles[b])
+        trivial_count += len(trivial)
+        rels.extend(DivRel(b + 1, _mask_members(m)) for m in trivial + _set_bits(got))
+        least = _set_bits(_minimal_masks(got, singles))
+        minimal.extend(DivRel(b + 1, _mask_members(m)) for m in least)
     rels.sort(key=DivRel.sort_key)
     minimal.sort(key=DivRel.sort_key)
     return RelationReport(tuple(rels), tuple(minimal), trivial_count)

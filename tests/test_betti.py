@@ -1,6 +1,7 @@
 import ast
 import random
 import time
+from collections import Counter
 from itertools import islice
 from math import comb
 from pathlib import Path
@@ -9,12 +10,14 @@ import pytest
 
 from morseres import betti
 from morseres.betti import (
-    _columns,
+    _collapsed_homology,
     _critical_faces,
     _divisor_faces,
     _lane_covers,
     _lattice,
     _minimal_cover,
+    _nerve_faces,
+    _unmatched,
     exact_rank,
     gf2_rank,
     graded_betti,
@@ -25,7 +28,7 @@ from morseres.betti import (
 from morseres.complexes import LabeledComplex, SimplicialComplex, l2
 from morseres.errors import CapacityError, NonMinimalIdealError
 from morseres.extremal import extremal_generators, power_generators, single_relation
-from morseres.monomials import MonomialIdeal, VariableSet, lcm_of, packed_masks
+from morseres.monomials import MonomialIdeal, VariableSet, bit_columns, lcm_of, packed_masks
 from morseres.morse import critical_closed_form_l2, critical_counts
 from morseres.sampling import random_ideals
 
@@ -332,19 +335,70 @@ def test_extremal_square_q6_matches_cell_counts_within_budget(s):
     assert elapsed < 60, f"runtime {elapsed:.1f}s exceeds budget 60s"
 
 
+def nerve_branches(ideal, fields):
+    """At each lattice element that `_minimal_cover` leaves open, the
+    nerve's entries against the face route's over `fields`; returns how
+    many elements took each branch: "none", "one" or "ranks" for nerves
+    whose critical faces span no, one or two cardinalities, and "faces"
+    for an element with more minimal sets than vertices outside U."""
+    gmasks = packed_masks(ideal.generators)
+    n, cols = len(ideal.ring), bit_columns(gmasks)
+    branches = Counter()
+    for m in _lattice(gmasks) - {0}:
+        smask, r = _minimal_cover(m, n, gmasks, cols)
+        if isinstance(r, int):
+            continue
+        support = support_of(m, gmasks)
+        critical = _critical_faces(m, gmasks, support)
+        if r is None:
+            branches["faces"] += 1
+            continue
+        u, sets = r
+        assert 2 <= len(sets) <= smask.bit_count() - u, (ideal, m)
+        assert all(b.bit_count() >= 2 and not b & ~smask for b in sets), (ideal, m)
+        nerve = _nerve_faces(sets)
+        unmatched = _unmatched(nerve, range(len(sets)))
+        branches[("none", "one", "ranks")[min(len({f.bit_count() for f in unmatched}), 2)]] += 1
+        for field in fields:
+            face_route = _collapsed_homology(
+                critical, lambda: _divisor_faces(m, gmasks, support, 0), field
+            )
+            nerve_route = _collapsed_homology(unmatched, lambda: nerve, field)
+            assert [(k + u, v) for k, v in nerve_route] == face_route, (ideal, m, field)
+    return branches
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 6])
+def test_nerve_equals_face_route_on_extremal_squares(q):
+    fields = ("gf2", "rational") if q <= 5 else ("gf2",)
+    for s in range(3, q + 1):
+        branches = nerve_branches(power_generators(q, single_relation(s), 2), fields)
+        # every open element of an extremal square takes the nerve
+        assert set(branches) <= {"none", "one", "ranks"}, (q, s)
+
+
+def test_nerve_equals_face_route_on_random_squares_in_every_branch():
+    branches = Counter()
+    for q, count in ((4, 200), (5, 20)):
+        for ideal in random_ideals(count, q=q, s=3, seed=0):
+            branches += nerve_branches(ideal.power(2).minimalize(), ("gf2", "rational"))
+    assert set(branches) == {"none", "one", "ranks", "faces"}, branches
+
+
 def cover_classes(ideal):
     """The lattice elements that the minimal-cover test settles as cones
     and as spheres, each with its support (and a sphere with its number
-    r of minimal sets), and the number it leaves to the face route."""
+    r of minimal sets), and the number it leaves to the nerve or the
+    face route."""
     gmasks = packed_masks(ideal.generators)
-    n, cols = len(ideal.ring), _columns(gmasks)
+    n, cols = len(ideal.ring), bit_columns(gmasks)
     cones, spheres, rest = [], [], 0
     for m in _lattice(gmasks) - {0}:
         support = support_of(m, gmasks)
         _, r = _minimal_cover(m, n, gmasks, cols)
         if r == 0:
             cones.append((m, support))
-        elif r is not None:
+        elif isinstance(r, int):
             spheres.append((m, support, r))
         else:
             rest += 1
@@ -361,7 +415,7 @@ def test_one_pass_support_is_the_generators_dividing_each_element():
     # direct scan, on every lattice element of each square
     for ideal in SUPPORT_CASES:
         gmasks = packed_masks(ideal.generators)
-        n, cols = len(ideal.ring), _columns(gmasks)
+        n, cols = len(ideal.ring), bit_columns(gmasks)
         for m in _lattice(gmasks) - {0}:
             smask, _ = _minimal_cover(m, n, gmasks, cols)
             assert smask == sum(1 << k for k in support_of(m, gmasks)), (ideal, m)
@@ -432,13 +486,16 @@ def test_sphere_facets_complement_disjoint_sets_at_q5(s):
 def test_cone_point_test_leaves_only_the_betti_lcms(monkeypatch):
     # on the extremal squares every element that is no cone carries a
     # Betti number, and all but a few of them are settled as spheres
-    # before any face is listed
+    # before the nerve or the face route is reached
     reached = []
-    monkeypatch.setattr(
-        betti,
-        "_critical_faces",
-        lambda m, gmasks, support: reached.append(m) or _critical_faces(m, gmasks, support),
-    )
+
+    def cover(m, n, gmasks, cols):
+        smask, r = _minimal_cover(m, n, gmasks, cols)
+        if not isinstance(r, int):
+            reached.append(m)
+        return smask, r
+
+    monkeypatch.setattr(betti, "_minimal_cover", cover)
     counts = {}
     for q in range(3, 6):
         for s in range(3, q + 1):
@@ -458,7 +515,7 @@ def lane_open_count(ideal, size=None):
     elements; every settled lane must agree with `_minimal_cover` (0 for
     a cone, r for a sphere).  Returns how many lanes were left open."""
     gmasks = packed_masks(ideal.generators)
-    n, cols = len(ideal.ring), _columns(gmasks)
+    n, cols = len(ideal.ring), bit_columns(gmasks)
     elements = list(_lattice(gmasks) - {0})
     size = size or len(elements)
     left = 0
@@ -512,7 +569,7 @@ def test_lanes_wider_than_64_bits_on_the_first_q7_chunks():
     # lanes of 256 bits, 256 to a chunk: the first four chunks
     square = power_generators(7, single_relation(7), 2)
     gmasks = packed_masks(square.generators)
-    n, cols = len(square.ring), _columns(gmasks)
+    n, cols = len(square.ring), bit_columns(gmasks)
     lattice = _lattice(gmasks)
     lattice.discard(0)
     chunk = list(islice(lattice, 1024))
@@ -528,6 +585,6 @@ def test_lane_counts_fit_one_byte_below_255_generators(q):
     # with 255 generators every lane is left to `_minimal_cover`
     gmasks = [1 << k for k in range(q)]
     top = (1 << q) - 1
-    assert _minimal_cover(top, q, gmasks, _columns(gmasks))[1] == q
+    assert _minimal_cover(top, q, gmasks, bit_columns(gmasks))[1] == q
     verdicts = [v for _, v in _lane_covers([top, 1], q, gmasks)]
     assert verdicts == ([q, 1] if q < 255 else [None, None])

@@ -279,6 +279,34 @@ def test_minimality_sweep_builds_one_closed_form_per_pair(monkeypatch):
     assert Counter(calls) == fixed + Counter([(3, 3), (4, 3), (4, 4)])
 
 
+@pytest.mark.parametrize("change", ["label", "beta", "extra entry"])
+def test_entry_check_fails_on_one_changed_entry(monkeypatch, change):
+    # totals and pd stay right in each case; only the entry check sees it
+    from dataclasses import replace
+
+    from morseres import betti, cli
+
+    oracle = betti.graded_betti
+
+    def changed(ideal, field, cap):
+        table = oracle(ideal, field, cap)
+        (i, m, v), *rest = table.entries
+        entries = {
+            "label": [(i, m ^ 1, v), *rest],
+            "beta": [(i, m, 2), *rest],
+            "extra entry": [(i, m, v), *rest, (i, 1 << 300, 0)],
+        }[change]
+        return replace(table, entries=tuple(entries))
+
+    monkeypatch.setattr(betti, "graded_betti", changed)
+    checks = {c["name"]: c["ok"] for c in cli._minimal_resolution_checks(3, 3)}
+    assert checks == {
+        "oracle totals equal cell counts q=3 s=3": change != "beta",
+        "oracle pd equals formula q=3 s=3": True,
+        "oracle entries equal cell labels q=3 s=3": False,
+    }
+
+
 def test_minimality_qmax_6_bytes(tmp_path, capsys):
     out = tmp_path / "minimality.json"
     code, text = run(capsys, "verify", "--suite", "minimality", "--qmax", "6", "--out", str(out))

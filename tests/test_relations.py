@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -6,10 +6,14 @@ from morseres import relations
 from morseres.complexes import n2_pairs
 from morseres.errors import CapacityError
 from morseres.extremal import power_generators, single_relation
-from morseres.monomials import MonomialIdeal, VariableSet
+from morseres.monomials import MonomialIdeal, VariableSet, packed_masks, subset_lcms
 from morseres.morse import matching_l2
 from morseres.relations import (
+    BRUTE_FORCE_CEILING,
     DivRel,
+    _held_nontrivial,
+    _minimal_masks,
+    _set_bits,
     all_relations,
     minimality_audit,
     predicted_minimal_square_relations,
@@ -303,3 +307,51 @@ def test_report_serialization():
     data = report.to_dict()
     assert data["schema"] == 1
     assert {"b": 1, "B": [2, 3]} in data["minimal"]
+
+
+def held_by_subset_lcms(ideal):
+    """Per generator b, the nonempty subsets B of the others, as masks,
+    whose lcm generator b divides: each read off a table of every
+    subset's lcm."""
+    masks = packed_masks(ideal.generators)
+    table = subset_lcms(masks)
+    return [
+        {m for m in range(1, 1 << ideal.q) if not m >> b & 1 and not gen & ~table[m]}
+        for b, gen in enumerate(masks)
+    ]
+
+
+def minimal_members(held):
+    """Minimal members of an up-closed family of masks, by dropping
+    each member's elements one at a time."""
+    return sorted(m for m in held if not any(m ^ 1 << k in held for k in _set_bits(m)))
+
+
+def sixteen_edges():
+    # 16 edges of the complete graph on 7 vertices, square-free and minimal
+    ring = VariableSet("abcdefg")
+    edges = islice(combinations("abcdefg", 2), 16)
+    return MonomialIdeal(ring, [ring.parse(a + b) for a, b in edges])
+
+
+BITMAP_CASES = (
+    [
+        power_generators(q, single_relation(s), p)
+        for q in range(3, 6)
+        for s in range(3, q + 1)
+        for p in (1, 2)
+    ]
+    + [ideal.power(2).minimalize() for ideal in random_ideals(200, q=4, s=3, seed=5)]
+    + [I1.power(2).minimalize(), I2.power(2).minimalize(), sixteen_edges()]
+    # a unit generator divides the lcm of every B, the empty one aside
+    + [MonomialIdeal(R2, [R2.one(), R2.parse("a"), R2.parse("bc")])]
+)
+
+
+def test_subset_bitmaps_equal_the_subset_lcm_table():
+    assert sixteen_edges().q == BRUTE_FORCE_CEILING
+    for ideal in BITMAP_CASES:
+        held, singles = _held_nontrivial(ideal, BRUTE_FORCE_CEILING)
+        for got, want in zip(held, held_by_subset_lcms(ideal), strict=True):
+            assert _set_bits(got) == sorted(want), ideal
+            assert _set_bits(_minimal_masks(got, singles)) == minimal_members(want), ideal
