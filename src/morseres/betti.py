@@ -12,7 +12,7 @@ beta_{r-1,m} = 1 over every field.  Both are read off the generators'
 masks before any face is listed, in one pass over the generators per
 element that also gives the support (the generators dividing m).
 
-Most of the remaining elements are settled on a nerve.  Let U be the
+Every remaining element is settled on a smaller complex.  Let U be the
 vertices with a unique top (each {u} a minimal M_t), W the rest of the
 support, and B_1..B_p the other minimal sets, each of at least two
 vertices inside W.  A face misses some {u} or misses some B_j, so the
@@ -20,27 +20,28 @@ subcomplex is the union of the boundary of the simplex on U joined with
 the simplex on W and the simplex on U joined with the link G of U, the
 faces of W that miss some B_j.  Both pieces are cones meeting in the
 boundary of U joined with G, so the subcomplex is the |U|-fold
-suspension of G.  The facets of G are the complements W - B_j, and by
-the nerve theorem (Bjorner, *Topological methods*) G has the homotopy
-type of the nerve N, the index sets S of [p] whose B_j do not cover W.
-So beta_{i,m} = dim H~_{i-1-|U|}(N) over every field, and N has 2^p
-candidate faces where the subcomplex has up to 2^|support|; with
-p > |W| the element takes the face route below instead.
+suspension of G, and beta_{i,m} = dim H~_{i-1-|U|}(G) over every field.
+G and its nerve N, the index sets S of [p] whose B_j do not cover W,
+are the two Dowker complexes of the relation "w lies outside B_j"
+(Dowker, *Homology groups of relations*; Bjorner, *Topological
+methods*), so they have the same homology.  One reader lists either:
+given blocks, the index sets whose blocks' union falls short of the
+union of all.  With the B_j as blocks that is N, on 2^p candidate
+faces; with A_w = {j : w in B_j}, a subset F of W is listed iff its A_w
+miss some j, that is, iff F misses B_j, so that is G itself, on 2^|W|
+candidate faces.  The smaller side is read.
 
-Each remaining complex, N or the subcomplex itself, is first collapsed
-by sequential element matchings: for each vertex v in index order, a
-surviving face F is paired with F + v when both survive.  A sequence
-of element matchings is acyclic (Jonsson, *Simplicial Complexes of
-Graphs*), so the survivors are the cells of a Morse complex with the
-same homology.  On the subcomplex the first matching is applied while
-enumerating, so the faces it pairs are never built.  When every
-survivor has one cardinality k the Morse complex has zero
-differentials and H~_{k-1} is the number of survivors over every
-field; otherwise the full face list, from the same walk with no lcm
-required, goes through the rank route below.  A face is a vertex bitmask
-in every route; 0 is the empty face.  The matchings use only the
-generators' divisibility, nothing of the pair complex or its matching in
-`morse`, so the oracle stays independent of the counts it checks.
+The complex is then collapsed by sequential element matchings: for each
+index v in turn, a surviving face F is paired with F + v when both
+survive.  A sequence of element matchings is acyclic (Jonsson,
+*Simplicial Complexes of Graphs*), so the survivors are the cells of a
+Morse complex with the same homology.  When every survivor has one
+cardinality k the Morse complex has zero differentials and H~_{k-1} is
+the number of survivors over every field; otherwise the listed faces go
+through the rank route below.  A face is a bitmask in every route; 0 is
+the empty face.  The matchings use only the generators' divisibility,
+nothing of the pair complex or its matching in `morse`, so the oracle
+stays independent of the counts it checks.
 
 The cone and sphere tests run on a chunk of lattice elements at a time,
 each element one lane of W bits in a single int of about 8 KiB (1,024
@@ -52,7 +53,7 @@ then reaches 2^W no carry crosses into the next lane, so this nonzero
 test is exact.  The lanes settle every element whose tops are all
 carried by vertices with a unique top, or that has a cone point; only
 the others (29 to 63 per extremal square at q = 5) go through the
-scalar test, which stays the tests' reference, and on to the nerve.
+scalar test, which stays the tests' reference, and on to the reader.
 
 A second route through order complexes of open lcm intervals is kept
 for cross-checking.  Ranks are computed exactly: bitsets over GF(2) and
@@ -65,7 +66,7 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 from math import comb, gcd
 from operator import methodcaller
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .errors import CapacityError, NonMinimalIdealError
 from .extremal import check_qs
@@ -76,6 +77,7 @@ from .monomials import (
     bit_columns,
     packed_masks,
     packed_to_monomial,
+    subset_lcms,
 )
 
 GF2 = "gf2"
@@ -239,91 +241,38 @@ def _lattice(gmasks: Sequence[int]) -> set[int]:
     return lattice
 
 
-def _divisor_faces(m: int, gmasks: Sequence[int], verts: Sequence[int], need: int) -> list[int]:
-    """Faces F over `verts`, as bitmasks of generator indices, whose lcm
-    strictly divides m and is divisible by `need`.  Every vertex's
-    generator must divide m.  A branch is cut as soon as even adding
-    every later vertex cannot supply `need`."""
-    # reach[t] is the lcm of verts[t:]: all that extending from there can add
-    reach = [0] * (len(verts) + 1)
-    for t in range(len(verts) - 1, -1, -1):
-        reach[t] = reach[t + 1] | gmasks[verts[t]]
-    faces = []
-    stack = [(0, 0, 0)]
-    while stack:
-        face, lcm, start = stack.pop()
-        if need & lcm == need:
-            faces.append(face)
-        for t in range(start, len(verts)):
-            if need & (lcm | reach[t]) != need:
-                break
-            nlcm = lcm | gmasks[verts[t]]
-            if nlcm != m:
-                stack.append((face | 1 << verts[t], nlcm, t + 1))
-    return faces
-
-
-def _critical_faces(m: int, gmasks: Sequence[int], support: Sequence[int]) -> list[int]:
-    """Faces of the strict-divisor subcomplex at m, as bitmasks of
-    generator indices, left unmatched by the element matchings of its
-    support vertices (the generators dividing m) in index order.
-
-    No face containing the first support vertex v0 survives its matching,
-    and F not containing v0 survives it iff lcm(F) != m = lcm(F + v0), so
-    only those F are enumerated.  Each later vertex v then removes the
-    survivors F for which F ^ v also survives.
-    """
-    v0, *rest = support
-    return _unmatched(_divisor_faces(m, gmasks, rest, m ^ gmasks[v0]), rest)
-
-
-def _unmatched(faces: list[int], vertices: Iterable[int]) -> list[int]:
-    """The faces left by the element matchings of `vertices` in turn:
-    each pairs a surviving face F with F ^ v when both survive."""
-    for v in vertices:
-        alive = set(faces)
-        faces = [f for f in faces if f ^ 1 << v not in alive]
-    return faces
-
-
-def _nerve_faces(sets: Sequence[int]) -> list[int]:
-    """The nerve of the complex whose facets are the complements of
-    `sets` in their union W: the index sets S, as bitmasks, with the
-    union of the sets in S short of W, read off a table of those unions
-    built by doubling."""
-    union = [0]
-    for b in sets:
-        union += [x | b for x in union]
-    whole = union[-1]
-    return [k for k, x in enumerate(union) if x != whole]
-
-
-def _collapsed_homology(
-    critical: Sequence[int], faces: Callable[[], list[int]], field: str
-) -> list[tuple[int, int]]:
+def _nerve_homology(blocks: Sequence[int], field: str) -> list[tuple[int, int]]:
     """Each (k, dim H~_{k-1}) with a nonzero dimension, of the complex
-    whose faces `faces()` lists, given `critical`, the faces that a
-    sequence of element matchings leaves unmatched.  The faces are
-    listed only when the critical ones span two cardinalities."""
+    whose faces are the index sets, as bitmasks, whose blocks' union is
+    short of the union of all `blocks`: listed off a table of unions
+    built by doubling, collapsed by the element matchings of the indices
+    in turn, and ranked only when the survivors span two cardinalities
+    (see the module docstring)."""
+    union = subset_lcms(blocks)
+    faces = [k for k, x in enumerate(union) if x != union[-1]]
+    critical = faces
+    for v in range(len(blocks)):
+        alive = set(critical)
+        critical = [f for f in critical if f ^ 1 << v not in alive]
     sizes = {f.bit_count() for f in critical}
     if len(sizes) > 1:
-        return [(k, v) for k, v in enumerate(homology_dims(faces(), field)) if v]
+        return [(k, v) for k, v in enumerate(homology_dims(faces, field)) if v]
     return [(k, len(critical)) for k in sizes]
 
 
 def _minimal_cover(
     m: int, n: int, gmasks: Sequence[int], cols: dict[int, int]
-) -> tuple[int, int | tuple[int, list[int]] | None]:
-    """The support of m, as a bitmask of the indices of the generators
-    dividing m, and the reduced homology of the strict-divisor subcomplex
-    at m when its inclusion-minimal sets M_t settle it: 0 for a cone
-    (zero over every field), r >= 1 for the boundary of an (r-1)-simplex
-    (H~_{r-2} = 1 over every field), and None when the faces must be
-    listed.  When those sets neither settle it nor number more than
-    the support vertices without a unique top, it is (u, [B_1..B_p]): the
-    u vertices with a unique top and the other minimal sets, with the
-    reduced homology of the nerve of the B_j (see the module docstring)
-    in degree k - 1 - u giving H~_{k-1} of the subcomplex.
+) -> int | tuple[int, list[int]]:
+    """The reduced homology of the strict-divisor subcomplex at m when
+    its inclusion-minimal sets M_t settle it: 0 for a cone (zero over
+    every field), r >= 1 for the boundary of an (r-1)-simplex
+    (H~_{r-2} = 1 over every field).  Otherwise (u, blocks): the number
+    u of vertices with a unique top, and blocks whose `_nerve_homology`
+    in degree k - 1 - u gives H~_{k-1} of the subcomplex.  They are the
+    other minimal sets B_1..B_p when p <= |W|, W the support vertices
+    without a unique top, and otherwise the sets A_w = {j : w in B_j}
+    for each w in W, read from the same incidence (see the module
+    docstring).
 
     A face F over the support has an lcm below m iff it misses some top
     exponent bit t of m (over n variables), that is, avoids the set M_t
@@ -362,23 +311,22 @@ def _minimal_cover(
             carried |= g
     rest = tops ^ (tops & carried)
     if not rest:
-        return smask, r if r == len(support) else 0
+        return r if r == len(support) else 0
     # the vertices with a unique top, as indices, read off the support
     # mask in step with the support list; a vertex carrying neither a
     # unique top nor a top in `rest` is a cone point, as each M_t holding
     # it also holds some u with a unique top, so strictly contains {u}
     live = unique | rest
-    covered = 0
+    umask = 0
     bits = smask
     for g in support:
         low = bits & -bits
         bits ^= low
         if not g & live:
-            return smask, 0
+            return 0
         if g & unique:
-            covered |= low
-    u = r
-    width = smask.bit_count() - u
+            umask |= low
+    covered = umask
     disjoint = True
     sets = set()
     while rest:
@@ -392,10 +340,14 @@ def _minimal_cover(
             covered |= a
             minimal.append(a)
     if covered != smask:
-        return smask, 0
+        return 0
     if disjoint:
-        return smask, u + len(minimal)
-    return smask, (u, minimal) if len(minimal) <= width else None
+        return r + len(minimal)
+    wmask = smask ^ umask
+    if len(minimal) <= wmask.bit_count():
+        return r, minimal
+    wside = [w for w in range(wmask.bit_length()) if wmask >> w & 1]
+    return r, [sum(1 << j for j, b in enumerate(minimal) if b >> w & 1) for w in wside]
 
 
 # bytes of one lane int in `_lane_covers`: 1,024 lanes of 64 bits, 256
@@ -409,7 +361,8 @@ def _lane_covers(
 ) -> Iterator[tuple[int, int | None]]:
     """The fast path of `_minimal_cover` on `elements`, a chunk at a time:
     each element with 0 for a cone, r >= 1 for a sphere, or None for an
-    element that `_minimal_cover` must settle, or pass to the face route.
+    element that `_minimal_cover` must settle, or hand to
+    `_nerve_homology`.
 
     The elements are lanes of W bits in one int, W - 1 bits enough for
     every mask and for ``m >> n``, and the top bit of each lane is a
@@ -480,8 +433,8 @@ def graded_betti(
     ideal: MonomialIdeal, field: str = GF2, cap: int = DEFAULT_GENERATOR_CAP
 ) -> BettiTable:
     """Graded Betti numbers from homology of strict-divisor subcomplexes
-    of the generator simplex, one per lcm-lattice element, each collapsed
-    by element matchings before any rank is taken."""
+    of the generator simplex, one per lcm-lattice element: the cover
+    test, then the suspended complex read by `_nerve_homology`."""
     field = normalize_field(field)
     _validate_ideal(ideal, cap)
     gmasks = packed_masks(ideal.generators)
@@ -492,24 +445,13 @@ def graded_betti(
     lattice.discard(0)
     for m, r in _lane_covers(lattice, n, gmasks):
         if r is None:
-            smask, r = _minimal_cover(m, n, gmasks, cols)
+            r = _minimal_cover(m, n, gmasks, cols)
         if isinstance(r, int):
             if r:
                 entries.append((r - 1, m, 1))
             continue
-        if r is None:
-            shift = 0
-            support = [k for k in range(smask.bit_length()) if smask >> k & 1]
-            dims = _collapsed_homology(
-                _critical_faces(m, gmasks, support),
-                lambda: _divisor_faces(m, gmasks, support, 0),
-                field,
-            )
-        else:
-            shift, sets = r
-            nerve = _nerve_faces(sets)
-            dims = _collapsed_homology(_unmatched(nerve, range(len(sets))), lambda: nerve, field)
-        entries.extend((k + shift, m, v) for k, v in dims)
+        u, blocks = r
+        entries.extend((k + u, m, v) for k, v in _nerve_homology(blocks, field))
     entries.sort()
     return BettiTable(ideal.ring, field, ideal.q, tuple(entries))
 

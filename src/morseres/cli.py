@@ -39,6 +39,23 @@ def _emit(payload, args, csv_rows=None) -> None:
             fh.write("\n")
 
 
+class _GradedArray(list):
+    """The graded rows of a Betti table as a JSON array that `json.dump`
+    reads one row at a time as it writes: the list itself stays empty,
+    so no row dict is held, and it is truthy iff there are rows, so a
+    nonempty array is not written as ``[]``."""
+
+    def __init__(self, rows):
+        super().__init__()
+        self.rows = rows
+
+    def __bool__(self) -> bool:
+        return bool(self.rows)
+
+    def __iter__(self):
+        return ({"degree": i, "lcm": str(m), "betti": v} for i, m, v in self.rows)
+
+
 def _padded(counts, width: int) -> list[int]:
     """``counts`` padded with zeros to ``width`` entries, never cut short."""
     return [*counts, *[0] * (width - len(counts))]
@@ -137,11 +154,11 @@ def cmd_betti(args) -> int:
     payload = table.to_dict()
     rows = None
     if args.graded:
-        graded = ((i, str(m), v) for i, m, v in table.graded_rows())
+        graded = table.graded_rows()
         if args.format == "csv":
-            rows = chain([("degree", "lcm", "betti")], graded)
+            rows = chain([("degree", "lcm", "betti")], ((i, str(m), v) for i, m, v in graded))
         else:
-            payload["graded"] = [{"degree": i, "lcm": m, "betti": v} for i, m, v in graded]
+            payload["graded"] = _GradedArray(graded)
     _emit(payload, args, csv_rows=rows)
     return 0
 

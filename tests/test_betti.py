@@ -2,22 +2,19 @@ import ast
 import random
 import time
 from collections import Counter
-from itertools import islice
+from itertools import combinations, islice
 from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morseres import betti
 from morseres.betti import (
-    _collapsed_homology,
-    _critical_faces,
-    _divisor_faces,
     _lane_covers,
     _lattice,
     _minimal_cover,
-    _nerve_faces,
-    _unmatched,
+    _nerve_homology,
     exact_rank,
     gf2_rank,
     graded_betti,
@@ -28,7 +25,14 @@ from morseres.betti import (
 from morseres.complexes import LabeledComplex, SimplicialComplex, l2
 from morseres.errors import CapacityError, NonMinimalIdealError
 from morseres.extremal import extremal_generators, power_generators, single_relation
-from morseres.monomials import MonomialIdeal, VariableSet, bit_columns, lcm_of, packed_masks
+from morseres.monomials import (
+    MonomialIdeal,
+    VariableSet,
+    bit_columns,
+    lcm_of,
+    packed_masks,
+    subset_lcms,
+)
 from morseres.morse import critical_closed_form_l2, critical_counts
 from morseres.sampling import random_ideals
 
@@ -250,6 +254,49 @@ def support_of(m, gmasks):
     return [k for k, g in enumerate(gmasks) if not g & ~m]
 
 
+def divisor_faces(m, gmasks, support):
+    """The strict-divisor complex at m: every face over `support`, as a
+    bitmask of generator indices, whose lcm strictly divides m.  Every
+    vertex's generator must divide m."""
+    faces = []
+    stack = [(0, 0, 0)]
+    while stack:
+        face, lcm, start = stack.pop()
+        faces.append(face)
+        for t in range(start, len(support)):
+            nlcm = lcm | gmasks[support[t]]
+            if nlcm != m:
+                stack.append((face | 1 << support[t], nlcm, t + 1))
+    return faces
+
+
+def unmatched(faces, vertices):
+    """The faces left by the element matchings of `vertices` in turn:
+    each pairs a surviving face F with F ^ v when both survive."""
+    for v in vertices:
+        alive = set(faces)
+        faces = [f for f in faces if f ^ 1 << v not in alive]
+    return faces
+
+
+def collapsed_homology(faces, vertices, field):
+    """Each (k, dim H~_{k-1}) with a nonzero dimension of the complex
+    `faces`: the survivors' count when the element matchings of
+    `vertices` leave one cardinality, ranks otherwise."""
+    critical = unmatched(faces, vertices)
+    sizes = {f.bit_count() for f in critical}
+    if len(sizes) > 1:
+        return [(k, v) for k, v in enumerate(homology_dims(faces, field)) if v]
+    return [(k, len(critical)) for k in sizes]
+
+
+def reader_faces(blocks):
+    """The faces `_nerve_homology` reads for `blocks`: the index sets
+    whose blocks' union is short of the union of all."""
+    union = subset_lcms(blocks)
+    return [k for k, x in enumerate(union) if x != union[-1]]
+
+
 def rank_route_entries(ideal, field):
     """Graded Betti entries by ranks on every face of every strict-divisor
     subcomplex, with lcms taken on monomials rather than masks and packed
@@ -267,18 +314,27 @@ def rank_route_entries(ideal, field):
     return tuple(sorted(entries))
 
 
-def test_collapse_falls_back_when_critical_faces_span_two_cardinalities():
+def count_rank_fallbacks(monkeypatch):
+    """Patch `betti.homology_dims` to count its calls; returns the list
+    that each call appends to."""
+    calls = []
+
+    def counted(faces, field="gf2"):
+        calls.append(len(faces))
+        return homology_dims(faces, field)
+
+    monkeypatch.setattr(betti, "homology_dims", counted)
+    return calls
+
+
+def test_collapse_falls_back_when_critical_faces_span_two_cardinalities(monkeypatch):
     ring = VariableSet("abcdef")
     ideal = MonomialIdeal(ring, [ring.parse(t) for t in ("cdf", "bdf", "abcd", "adf")])
-    gmasks = packed_masks(ideal.generators)
-    mixed = [
-        m
-        for m in _lattice(gmasks) - {0}
-        if len({f.bit_count() for f in _critical_faces(m, gmasks, support_of(m, gmasks))}) > 1
-    ]
-    assert mixed
+    calls = count_rank_fallbacks(monkeypatch)
     for field in ("gf2", "rational"):
+        calls.clear()
         entries = graded_betti(ideal, field).entries
+        assert calls, field
         assert entries == rank_route_entries(ideal, field)
         assert entries == graded_betti_via_interval(ideal, field).entries
 
@@ -316,11 +372,12 @@ def test_extremal_square_q5_matches_cell_counts(s, field):
 
 
 @pytest.mark.parametrize("s", [3, 4, 5])
-def test_extremal_square_q5_needs_no_rank_fallback(s):
-    gmasks = packed_masks(power_generators(5, single_relation(s), 2).generators)
-    for m in _lattice(gmasks) - {0}:
-        critical = _critical_faces(m, gmasks, support_of(m, gmasks))
-        assert len({f.bit_count() for f in critical}) <= 1
+def test_extremal_square_q5_needs_no_rank_fallback(monkeypatch, s):
+    calls = count_rank_fallbacks(monkeypatch)
+    square = power_generators(5, single_relation(s), 2)
+    for field in ("gf2", "rational"):
+        assert graded_betti(square, field).total() == critical_counts(5, s)
+    assert calls == []
 
 
 @pytest.mark.parametrize("s", [3, 4, 5, 6])
@@ -335,36 +392,59 @@ def test_extremal_square_q6_matches_cell_counts_within_budget(s):
     assert elapsed < 60, f"runtime {elapsed:.1f}s exceeds budget 60s"
 
 
+def minimal_sets(faces, support):
+    """The inclusion-minimal sets M_t of a complex over `support`, read
+    off its faces: the complements of its facets."""
+    alive = set(faces)
+    smask = sum(1 << k for k in support)
+    return {
+        smask & ~f
+        for f in faces
+        if not any(f | 1 << u in alive for u in support if not f >> u & 1)
+    }
+
+
 def nerve_branches(ideal, fields):
     """At each lattice element that `_minimal_cover` leaves open, the
-    nerve's entries against the face route's over `fields`; returns how
-    many elements took each branch: "none", "one" or "ranks" for nerves
-    whose critical faces span no, one or two cardinalities, and "faces"
-    for an element with more minimal sets than vertices outside U."""
+    reader's entries against the face route's on the strict-divisor
+    complex over `fields`, after checking the blocks against the
+    complex's own minimal sets; returns how many elements took each
+    branch: "none", "one" or "ranks" for complexes whose critical faces
+    span no, one or two cardinalities, and "W side" as well for an
+    element with more minimal sets than vertices outside U."""
     gmasks = packed_masks(ideal.generators)
     n, cols = len(ideal.ring), bit_columns(gmasks)
     branches = Counter()
     for m in _lattice(gmasks) - {0}:
-        smask, r = _minimal_cover(m, n, gmasks, cols)
+        r = _minimal_cover(m, n, gmasks, cols)
         if isinstance(r, int):
             continue
+        u, blocks = r
         support = support_of(m, gmasks)
-        critical = _critical_faces(m, gmasks, support)
-        if r is None:
-            branches["faces"] += 1
-            continue
-        u, sets = r
-        assert 2 <= len(sets) <= smask.bit_count() - u, (ideal, m)
-        assert all(b.bit_count() >= 2 and not b & ~smask for b in sets), (ideal, m)
-        nerve = _nerve_faces(sets)
-        unmatched = _unmatched(nerve, range(len(sets)))
-        branches[("none", "one", "ranks")[min(len({f.bit_count() for f in unmatched}), 2)]] += 1
+        faces = divisor_faces(m, gmasks, support)
+        sets = minimal_sets(faces, support)
+        others = {b for b in sets if b.bit_count() >= 2}
+        assert len(sets) - len(others) == u, (ideal, m)
+        wside = [k for k in support if not any(b == 1 << k for b in sets)]
+        assert len(others) >= 2 and u + len(wside) == len(support), (ideal, m)
+        if len(others) <= len(wside):
+            assert sorted(blocks) == sorted(others), (ideal, m)
+        else:
+            # the incidence read from the W side: block i is the set of
+            # j with wside[i] in B_j, so column j of the blocks is B_j
+            assert len(blocks) == len(wside), (ideal, m)
+            columns = {
+                sum(1 << w for w, a in zip(wside, blocks) if a >> j & 1)
+                for j in range(len(others))
+            }
+            assert columns == others, (ideal, m)
+            branches["W side"] += 1
+        critical = unmatched(reader_faces(blocks), range(len(blocks)))
+        branches[("none", "one", "ranks")[min(len({f.bit_count() for f in critical}), 2)]] += 1
         for field in fields:
-            face_route = _collapsed_homology(
-                critical, lambda: _divisor_faces(m, gmasks, support, 0), field
-            )
-            nerve_route = _collapsed_homology(unmatched, lambda: nerve, field)
-            assert [(k + u, v) for k, v in nerve_route] == face_route, (ideal, m, field)
+            face_route = collapsed_homology(faces, support, field)
+            reader = _nerve_homology(blocks, field)
+            assert [(k + u, v) for k, v in reader] == face_route, (ideal, m, field)
     return branches
 
 
@@ -373,7 +453,7 @@ def test_nerve_equals_face_route_on_extremal_squares(q):
     fields = ("gf2", "rational") if q <= 5 else ("gf2",)
     for s in range(3, q + 1):
         branches = nerve_branches(power_generators(q, single_relation(s), 2), fields)
-        # every open element of an extremal square takes the nerve
+        # every open element of an extremal square is read from the B side
         assert set(branches) <= {"none", "one", "ranks"}, (q, s)
 
 
@@ -382,20 +462,90 @@ def test_nerve_equals_face_route_on_random_squares_in_every_branch():
     for q, count in ((4, 200), (5, 20)):
         for ideal in random_ideals(count, q=q, s=3, seed=0):
             branches += nerve_branches(ideal.power(2).minimalize(), ("gf2", "rational"))
-    assert set(branches) == {"none", "one", "ranks", "faces"}, branches
+    assert set(branches) == {"none", "one", "ranks", "W side"}, branches
+
+
+def transposed(sets, width):
+    """For each w < width, the set A_w = {j : w in sets[j]} as a bitmask.
+    As generators, A_w carries variable j iff w lies in B_j = sets[j], so
+    at the product of the variables the set M_j of generators carrying
+    j is B_j."""
+    return [sum(1 << j for j, b in enumerate(sets) if b >> w & 1) for w in range(width)]
+
+
+@st.composite
+def covering_antichains(draw):
+    """An antichain B_1..B_p of sets of at least two elements, covering
+    W = range(width) with width <= 7, and the width."""
+    width = draw(st.integers(2, 7))
+    if width >= 4 and draw(st.booleans()):
+        # more sets than elements, all of one size, so an antichain as drawn
+        size = draw(st.integers(2, width - 2))
+        masks = [sum(1 << k for k in c) for c in combinations(range(width), size)]
+        sets = draw(st.lists(
+            st.sampled_from(masks), min_size=width + 1, max_size=min(12, len(masks)), unique=True
+        ))
+    else:
+        member = st.sets(st.integers(0, width - 1), min_size=2)
+        sets = draw(st.lists(
+            member.map(lambda e: sum(1 << k for k in e)), min_size=1, max_size=12, unique=True
+        ))
+    antichain = [a for a in sets if not any(b != a and not b & ~a for b in sets)]
+    # the elements no set holds are dropped, so the sets cover W
+    cover = 0
+    for a in antichain:
+        cover |= a
+    kept = [k for k in range(width) if cover >> k & 1]
+    return [sum(1 << i for i, k in enumerate(kept) if a >> k & 1) for a in antichain], len(kept)
+
+
+@settings(max_examples=150, deadline=None)
+@given(covering_antichains())
+def test_reader_agrees_on_both_sides_of_the_incidence(case):
+    sets, width = case
+    p = len(sets)
+    gmasks = transposed(sets, width)
+    # read from the W side, the complex is exactly {F in W : F misses some B_j}
+    assert reader_faces(gmasks) == [f for f in range(1 << width) if any(not f & b for b in sets)]
+    for field in ("gf2", "rational"):
+        assert _nerve_homology(sets, field) == _nerve_homology(gmasks, field), field
+    r = _minimal_cover((1 << p) - 1, p, gmasks, bit_columns(gmasks))
+    # sets covering W are pairwise disjoint iff their sizes add up to |W|
+    if sum(b.bit_count() for b in sets) == width:
+        assert r == p
+        return
+    u, blocks = r
+    assert u == 0
+    if p <= width:
+        assert sorted(blocks) == sorted(sets)
+    else:
+        # the W side up to the order of the B_j: column j of the blocks is B_j
+        assert {sum(1 << w for w, a in enumerate(blocks) if a >> j & 1) for j in range(p)} == set(sets)
+
+
+def test_six_pairs_of_a_four_set_read_as_k4_from_either_side():
+    pairs = [1 << a | 1 << b for a, b in combinations(range(4), 2)]
+    gmasks = transposed(pairs, 4)
+    u, blocks = _minimal_cover((1 << 6) - 1, 6, gmasks, bit_columns(gmasks))
+    # p = 6 > |W| = 4, so the W side is read
+    assert u == 0 and len(blocks) == 4
+    # G is every set of at most two of the four vertices: the graph K4
+    assert reader_faces(blocks) == [f for f in range(16) if f.bit_count() <= 2]
+    for field in ("gf2", "rational"):
+        for side in (pairs, blocks):
+            assert _nerve_homology(side, field) == [(2, 3)], (field, side)
 
 
 def cover_classes(ideal):
     """The lattice elements that the minimal-cover test settles as cones
     and as spheres, each with its support (and a sphere with its number
-    r of minimal sets), and the number it leaves to the nerve or the
-    face route."""
+    r of minimal sets), and the number it leaves to the reader."""
     gmasks = packed_masks(ideal.generators)
     n, cols = len(ideal.ring), bit_columns(gmasks)
     cones, spheres, rest = [], [], 0
     for m in _lattice(gmasks) - {0}:
         support = support_of(m, gmasks)
-        _, r = _minimal_cover(m, n, gmasks, cols)
+        r = _minimal_cover(m, n, gmasks, cols)
         if r == 0:
             cones.append((m, support))
         elif isinstance(r, int):
@@ -403,22 +553,6 @@ def cover_classes(ideal):
         else:
             rest += 1
     return gmasks, cones, spheres, rest
-
-
-SUPPORT_CASES = [
-    power_generators(q, single_relation(s), 2) for q in range(3, 6) for s in range(3, q + 1)
-] + [ideal.power(2).minimalize() for ideal in random_ideals(100, q=4, s=3, seed=7)]
-
-
-def test_one_pass_support_is_the_generators_dividing_each_element():
-    # the support mask read off the cover's single pass, against a
-    # direct scan, on every lattice element of each square
-    for ideal in SUPPORT_CASES:
-        gmasks = packed_masks(ideal.generators)
-        n, cols = len(ideal.ring), bit_columns(gmasks)
-        for m in _lattice(gmasks) - {0}:
-            smask, _ = _minimal_cover(m, n, gmasks, cols)
-            assert smask == sum(1 << k for k in support_of(m, gmasks)), (ideal, m)
 
 
 CONE_CASES = [power_generators(q, single_relation(s), 2) for q, s in ((3, 3), (4, 3), (4, 4))] + [
@@ -432,7 +566,7 @@ CONE_CASES = [power_generators(q, single_relation(s), 2) for q, s in ((3, 3), (4
 def test_cone_point_test_is_exact(ideal):
     gmasks, cones, _, _ = cover_classes(ideal)
     for m, support in cones:
-        faces = _divisor_faces(m, gmasks, support, 0)
+        faces = divisor_faces(m, gmasks, support)
         for field in ("gf2", "rational"):
             assert not any(homology_dims(faces, field)), (ideal, m, field)
 
@@ -442,7 +576,7 @@ def test_disjoint_minimal_sets_give_one_sphere(ideal):
     gmasks, _, spheres, _ = cover_classes(ideal)
     assert spheres
     for m, support, r in spheres:
-        faces = _divisor_faces(m, gmasks, support, 0)
+        faces = divisor_faces(m, gmasks, support)
         for field in ("gf2", "rational"):
             dims = homology_dims(faces, field)
             assert [(i, v) for i, v in enumerate(dims) if v] == [(r - 1, 1)], (ideal, m, field)
@@ -455,7 +589,7 @@ def test_cone_point_test_finds_a_cone_vertex_at_q5(s):
     # the complex a cone, acyclic over every field
     gmasks, cones, _, _ = cover_classes(power_generators(5, single_relation(s), 2))
     for m, support in cones:
-        faces = _divisor_faces(m, gmasks, support, 0)
+        faces = divisor_faces(m, gmasks, support)
         alive = set(faces)
         assert any(all(f | 1 << u in alive for f in faces) for u in support), m
 
@@ -467,33 +601,26 @@ def test_sphere_facets_complement_disjoint_sets_at_q5(s):
     # support is the boundary of an (r-1)-simplex by the nerve theorem
     gmasks, _, spheres, _ = cover_classes(power_generators(5, single_relation(s), 2))
     for m, support, r in spheres:
-        smask = sum(1 << k for k in support)
-        faces = _divisor_faces(m, gmasks, support, 0)
-        alive = set(faces)
-        holes = [
-            smask & ~f
-            for f in faces
-            if not any(f | 1 << u in alive for u in support if not f >> u & 1)
-        ]
+        holes = minimal_sets(divisor_faces(m, gmasks, support), support)
         assert len(holes) == r, m
         union = 0
         for hole in holes:
             assert hole and not hole & union, m
             union |= hole
-        assert union == smask, m
+        assert union == sum(1 << k for k in support), m
 
 
 def test_cone_point_test_leaves_only_the_betti_lcms(monkeypatch):
     # on the extremal squares every element that is no cone carries a
     # Betti number, and all but a few of them are settled as spheres
-    # before the nerve or the face route is reached
+    # before the reader is reached
     reached = []
 
     def cover(m, n, gmasks, cols):
-        smask, r = _minimal_cover(m, n, gmasks, cols)
+        r = _minimal_cover(m, n, gmasks, cols)
         if not isinstance(r, int):
             reached.append(m)
-        return smask, r
+        return r
 
     monkeypatch.setattr(betti, "_minimal_cover", cover)
     counts = {}
@@ -527,7 +654,7 @@ def lane_open_count(ideal, size=None):
             if v is None:
                 left += 1
             else:
-                assert v == _minimal_cover(m, n, gmasks, cols)[1], (ideal, m)
+                assert v == _minimal_cover(m, n, gmasks, cols), (ideal, m)
     return left
 
 
@@ -575,7 +702,7 @@ def test_lanes_wider_than_64_bits_on_the_first_q7_chunks():
     chunk = list(islice(lattice, 1024))
     assert max(gmasks).bit_length() > 64
     for m, v in _lane_covers(chunk, n, gmasks):
-        assert v is None or v == _minimal_cover(m, n, gmasks, cols)[1], m
+        assert v is None or v == _minimal_cover(m, n, gmasks, cols), m
 
 
 @pytest.mark.parametrize("q", [254, 255])
@@ -585,6 +712,6 @@ def test_lane_counts_fit_one_byte_below_255_generators(q):
     # with 255 generators every lane is left to `_minimal_cover`
     gmasks = [1 << k for k in range(q)]
     top = (1 << q) - 1
-    assert _minimal_cover(top, q, gmasks, bit_columns(gmasks))[1] == q
+    assert _minimal_cover(top, q, gmasks, bit_columns(gmasks)) == q
     verdicts = [v for _, v in _lane_covers([top, 1], q, gmasks)]
     assert verdicts == ([q, 1] if q < 255 else [None, None])

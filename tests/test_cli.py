@@ -411,6 +411,18 @@ GRADED_DIGESTS = {
 }
 
 
+@pytest.mark.parametrize("rows", [[], [(0, "x", 1), (0, "y", 1), (1, "xy", 1)]], ids=["empty", "rows"])
+def test_graded_array_is_written_as_its_rows_and_holds_none(rows):
+    from morseres.cli import _GradedArray
+
+    array = _GradedArray(rows)
+    assert len(array) == 0
+    listed = [{"degree": i, "lcm": m, "betti": v} for i, m, v in rows]
+    assert json.dumps({"graded": array}, indent=2, sort_keys=True) == json.dumps(
+        {"graded": listed}, indent=2, sort_keys=True
+    )
+
+
 @pytest.mark.parametrize("name, field, fmt", sorted(GRADED_DIGESTS))
 def test_betti_graded_bytes(tmp_path, capsys, name, field, fmt):
     from morseres.extremal import power_generators, single_relation
