@@ -200,12 +200,32 @@ class BettiTable:
     def projective_dimension(self) -> int:
         return max(i for i, _, v in self.entries if v)
 
-    def graded_rows(self) -> list[tuple[int, Monomial, int]]:
+    def graded_rows(self) -> Iterator[tuple[int, Monomial, int]]:
         """The entries with each lcm as a monomial, ordered by i, then
-        the lcm's degree, then its exponent vector."""
-        rows = [(i, packed_to_monomial(m, self.ring), v) for i, m, v in self.entries]
-        rows.sort(key=lambda e: (e[0], e[1].degree, e[1].exponents))
-        return rows
+        the lcm's degree, then its exponent vector, each monomial built
+        only as its row is read.
+
+        The order is read off the packed lcm: its degree is the popcount,
+        and its exponent vector the base-2^b digits, variable 0 first, of
+        the sum over its layers of n bits (n variables, b the bit length
+        of the top exponent), each layer's bits spread to b-bit digits."""
+        n = len(self.ring)
+        unit = (1 << n) - 1
+        top = -(-max((m.bit_length() for _, m, _ in self.entries), default=0) // n)
+        b = top.bit_length()
+        spread = str.maketrans({"0": "0" * b, "1": "0" * (b - 1) + "1"})
+
+        def key(entry: tuple[int, int, int]) -> tuple[int, int, int]:
+            i, m, _ = entry
+            degree = m.bit_count()
+            exps = 0
+            while m:
+                exps += int(format(m & unit, f"0{n}b")[::-1].translate(spread), 2)
+                m >>= n
+            return i, degree, exps
+
+        for i, m, v in sorted(self.entries, key=key):
+            yield i, packed_to_monomial(m, self.ring), v
 
     def to_dict(self) -> dict:
         """The summary: totals and pd, with no monomial built."""

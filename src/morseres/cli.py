@@ -42,8 +42,10 @@ def _emit(payload, args, csv_rows=None) -> None:
 class _GradedArray(list):
     """The graded rows of a Betti table as a JSON array that `json.dump`
     reads one row at a time as it writes: the list itself stays empty,
-    so no row dict is held, and it is truthy iff there are rows, so a
-    nonempty array is not written as ``[]``."""
+    so no row dict is held, and it is truthy when ``rows`` is, so a
+    nonempty array is not written as ``[]``.  A generator of rows, as
+    `BettiTable.graded_rows` returns, is always truthy, and a Betti table
+    always has rows in degree 0."""
 
     def __init__(self, rows):
         super().__init__()

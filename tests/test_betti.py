@@ -31,6 +31,7 @@ from morseres.monomials import (
     bit_columns,
     lcm_of,
     packed_masks,
+    packed_to_monomial,
     subset_lcms,
 )
 from morseres.morse import critical_closed_form_l2, critical_counts
@@ -168,6 +169,26 @@ def test_graded_entries_locate_first_syzygy():
     assert table.total() == (2, 1)
     degrees = {(i, str(m)): v for i, m, v in table.graded_rows()}
     assert degrees == {(0, "x"): 1, (0, "y"): 1, (1, "xy"): 1}
+
+
+@pytest.mark.parametrize(
+    "ring, gens",
+    [
+        ("abcdef", ("ab", "bcd", "aef", "ce")),
+        ("xyz", ("x^40y", "xy^33", "y^2z^7", "z^32")),
+        ("abcd", ("a^3b", "b^2c^2", "c^5", "a^2d", "d^3")),
+    ],
+    ids=["I2", "exponents-above-31", "mixed"],
+)
+def test_graded_rows_order_by_degree_then_exponents(ring, gens):
+    ring = VariableSet(ring)
+    ideal = MonomialIdeal(ring, [ring.parse(t) for t in gens])
+    for power in (1, 2):
+        table = graded_betti(ideal.power(power).minimalize())
+        rows = list(table.graded_rows())
+        reference = [(i, packed_to_monomial(m, ring), v) for i, m, v in table.entries]
+        reference.sort(key=lambda e: (e[0], e[1].degree, e[1].exponents))
+        assert rows == reference
 
 
 def test_lcm_lattice_closure():

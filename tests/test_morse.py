@@ -11,6 +11,7 @@ from morseres.monomials import MonomialIdeal, VariableSet, lcm_of
 from morseres.morse import (
     Matching,
     MatchingSpec,
+    _checked_up,
     _critical_cells_l2,
     _pivot_faces,
     _pivot_tables,
@@ -186,15 +187,43 @@ def test_spec_rejects_omega_inside_face():
         MatchingSpec(cx, (f,), {f: cx.vertex_bit((1, 2))})
 
 
+BAD_EDGES = {
+    "not a sub-face": ((0b11, 0b100),),
+    "bigger face inside the smaller": ((0b001, 0b011),),
+    "face used twice": ((0b111, 0b011), (0b111, 0b101)),
+    "smaller face used twice": ((0b011, 0b001), (0b101, 0b001)),
+    "bigger in one edge, smaller in another": ((0b111, 0b011), (0b011, 0b001)),
+}
+
+
 def test_matching_validation():
+    for pairs in BAD_EDGES.values():
+        with pytest.raises(ValueError):
+            Matching(pairs)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_EDGES))
+def test_walk_map_validation_rejects_the_same_edges(name):
+    """``build_matching`` checks the map it fills through ``_checked_up``,
+    which must refuse each bad edge list as ``Matching`` does."""
+    pairs = BAD_EDGES[name]
+    up = {small: big for big, small in pairs}
     with pytest.raises(ValueError):
-        Matching(((0b11, 0b100),))  # not a sub-face
-    with pytest.raises(ValueError):
-        Matching(((0b111, 0b011), (0b111, 0b101)))  # face used twice
-    with pytest.raises(ValueError):
-        Matching(((0b011, 0b001), (0b101, 0b001)))  # smaller face used twice
-    with pytest.raises(ValueError):
-        Matching(((0b111, 0b011), (0b011, 0b001)))  # bigger in one edge, smaller in another
+        _checked_up(up, len(pairs))
+
+
+def test_matching_validation_checks_every_engine_edge(monkeypatch):
+    from morseres import morse
+
+    checked = []
+
+    def spy(up, edges):
+        checked.append((dict(up), edges))
+        return _checked_up(up, edges)
+
+    monkeypatch.setattr(morse, "_checked_up", spy)
+    _, matching = matching_l2(4, 3)
+    assert checked == [(matching.up, len(matching))]
 
 
 def test_matching_from_one_shot_iterator_keeps_pair_order():
@@ -542,3 +571,41 @@ def test_engine_rejects_faces_out_of_order(engine):
     for bad in (faces[::-1], faces[:5] + faces[4:], [0b11, 0b100]):
         with pytest.raises(ValueError, match="order"):
             engine(bad, spec)
+
+
+def engine_matches_reference(faces, spec):
+    """Both engine calls, each fed ``faces`` by a one-shot generator,
+    against the reference matching."""
+    pairs, critical = naive_matching_and_critical(faces, spec)
+    assert build_matching((f for f in faces), spec).pairs == pairs
+    assert critical_cells((f for f in faces), spec) == critical
+    return pairs, critical
+
+
+@pytest.mark.parametrize("cx", [taylor(5), l2(4)], ids=["taylor5", "l2_4"])
+def test_walk_edge_families(cx):
+    faces = list(cx.faces())
+    for spec in random_specs(cx, 10, seed=len(cx.vertices) + 2):
+        # a whole cardinality removed: nothing is matched across the gap
+        for gap in (1, 2, 3):
+            family = [f for f in faces if f.bit_count() != gap]
+            pairs, _ = engine_matches_reference(family, spec)
+            assert all(big.bit_count() not in (gap, gap + 1) for big, _ in pairs)
+        # one cardinality only: no edge, every face critical
+        for card in (1, 2, 3):
+            level = [f for f in faces if f.bit_count() == card]
+            assert engine_matches_reference(level, spec) == ((), frozenset(level))
+        assert engine_matches_reference([], spec) == ((), frozenset())
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 7, 64])
+def test_walk_batches_do_not_change_the_matching(monkeypatch, batch):
+    from morseres import morse
+
+    monkeypatch.setattr(morse, "_WALK_BATCH", batch)
+    rng = random.Random(batch)
+    for cx in (taylor(5), l2(4)):
+        faces = list(cx.faces())
+        for spec in random_specs(cx, 5, seed=batch):
+            engine_matches_reference(faces, spec)
+            engine_matches_reference([f for f in faces if rng.random() < 0.6], spec)
