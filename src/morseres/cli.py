@@ -13,11 +13,12 @@ import sys
 from contextlib import nullcontext
 from functools import lru_cache
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import betti as betti_mod
 from . import morse as morse_mod
 from . import relations as rel_mod
-from .complexes import LabeledComplex, SimplicialComplex, l2, taylor
+from .complexes import LabeledComplex, SimplicialComplex, at_bits, l2, taylor
 from .extremal import extremal_generators, power_generators, single_relation
 from .monomials import MonomialIdeal, VariableSet, packed_masks
 from .sampling import random_ideals
@@ -35,17 +36,121 @@ def _emit(payload, args, csv_rows=None) -> None:
         elif isinstance(payload, str):
             fh.write(payload)
         else:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            _dump_json(payload, fh)
             fh.write("\n")
 
 
+_FLUSH = 1 << 12  # pieces of JSON text held before one write
+_LONG = 1 << 8  # a string encoded longer than this is written at once
+_TEXTS_MAX = 1 << 12  # int arrays whose text one dump keeps
+_ARRAYS = (list, tuple)
+_INTS = frozenset({int})  # exact ints: a bool is written as true or false
+
+
+def _dump_json(obj, fh) -> None:
+    """Write ``obj`` to ``fh`` with the bytes of ``json.dump(obj, fh,
+    indent=2, sort_keys=True)``, a write per ``_FLUSH`` pieces or so.
+
+    With an indent, `json.dump` always runs the pure-Python encoder, one
+    generator step per value.  Here an array of exact ints inside an
+    array is written as one join, and its text is kept per indent, up to
+    ``_TEXTS_MAX`` of them, so the vertices (i, j) that every face of the
+    pair complex repeats are encoded once per depth.  Every other array
+    is iterated once, after one truth test, as `json.dump` does: a list
+    subclass such as ``_GradedArray`` is written as it yields.  No piece
+    held is a string longer than ``_LONG``, so a graded Betti row with a
+    long lcm is not held past its write."""
+    parts: list[str] = []
+    append = parts.append
+    texts: dict[tuple[int, ...], str] = {}
+
+    def flush() -> None:
+        fh.write("".join(parts))
+        parts.clear()
+
+    def scalar(o) -> str:
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        # a float, or the TypeError `json.dump` raises
+        return json.dumps(o)
+
+    def value(o, ind: str) -> None:
+        # ind is a newline and the indent of o's own line
+        if isinstance(o, str):
+            text = encode_basestring_ascii(o)
+            if len(text) > _LONG:
+                flush()
+                fh.write(text)
+            else:
+                append(text)
+        elif isinstance(o, _ARRAYS):
+            array(o, ind)
+        elif isinstance(o, dict):
+            mapping(o, ind)
+        else:
+            append(scalar(o))
+
+    def array(o, ind: str) -> None:
+        if not o:
+            append("[]")
+            return
+        inner = ind + "  "
+        sep = "[" + inner
+        for x in o:
+            append(sep)
+            sep = "," + inner
+            if x.__class__ in _ARRAYS and x and all(map(_INTS.__contains__, map(type, x))):
+                key = (len(inner), *x)
+                text = texts.get(key)
+                if text is None:
+                    deeper = inner + "  "
+                    text = "[" + deeper + ("," + deeper).join(map(int.__repr__, x)) + inner + "]"
+                    if len(texts) < _TEXTS_MAX:
+                        texts[key] = text
+                append(text)
+            else:
+                value(x, inner)
+            if len(parts) > _FLUSH:
+                flush()
+        append(ind + "]")
+
+    def mapping(o, ind: str) -> None:
+        if not o:
+            append("{}")
+            return
+        inner = ind + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            if not isinstance(k, str):
+                if not (k is None or isinstance(k, (int, float))):
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, not {k.__class__.__name__}"
+                    )
+                k = scalar(k)
+            append(sep + encode_basestring_ascii(k) + ": ")
+            sep = "," + inner
+            value(v, inner)
+            if len(parts) > _FLUSH:
+                flush()
+        append(ind + "}")
+
+    value(obj, "\n")
+    flush()
+
+
 class _GradedArray(list):
-    """The graded rows of a Betti table as a JSON array that `json.dump`
-    reads one row at a time as it writes: the list itself stays empty,
-    so no row dict is held, and it is truthy when ``rows`` is, so a
-    nonempty array is not written as ``[]``.  A generator of rows, as
-    `BettiTable.graded_rows` returns, is always truthy, and a Betti table
-    always has rows in degree 0."""
+    """The graded rows of a Betti table as a JSON array that `_dump_json`
+    (or `json.dump`) reads one row at a time as it writes: the list
+    itself stays empty, so no row dict is held, and it is truthy when
+    ``rows`` is, so a nonempty array is not written as ``[]``.  A
+    generator of rows, as `BettiTable.graded_rows` returns, is always
+    truthy, and a Betti table always has rows in degree 0."""
 
     def __init__(self, rows):
         super().__init__()
@@ -71,14 +176,15 @@ def _parse_rel(text: str) -> tuple[int, frozenset[int]]:
     return int(b), members
 
 
-def _face_json(cx: SimplicialComplex, mask: int):
-    return [list(v) if isinstance(v, tuple) else v for v in cx.members(mask)]
+def _json_vertices(cx: SimplicialComplex) -> list:
+    """The vertices of ``cx`` by bit as JSON values, a pair as a list;
+    the faces share these lists rather than each building its own."""
+    return [list(v) if isinstance(v, tuple) else v for v in cx.vertices]
 
 
-def _face_name(cx: SimplicialComplex, mask: int) -> str:
-    return " ".join(
-        f"{v[0]}{v[1]}" if isinstance(v, tuple) else str(v) for v in cx.members(mask)
-    )
+def _vertex_names(cx: SimplicialComplex) -> list[str]:
+    """The vertices of ``cx`` by bit as dot names, a pair (i, j) as ij."""
+    return [f"{v[0]}{v[1]}" if isinstance(v, tuple) else str(v) for v in cx.vertices]
 
 
 def cmd_extremal(args) -> int:
@@ -109,7 +215,8 @@ def cmd_complex(args) -> int:
     cx = taylor(args.q) if args.type == "taylor" else l2(args.q)
     payload = {"schema": 1, "type": args.type, "q": args.q}
     if args.faces:
-        payload["faces"] = [_face_json(cx, m) for m in cx.faces()]
+        vertices = _json_vertices(cx)
+        payload["faces"] = [at_bits(vertices, m) for m in cx.faces()]
     else:
         payload["fvector"] = list(cx.f_vector())
     _emit(payload, args)
@@ -121,29 +228,35 @@ def cmd_morse(args) -> int:
     payload = {"schema": 1, "q": q, "s": s}
     if args.emit == "matching":
         spec, matching = morse_mod.matching_l2(q, s)
-        cx = spec.complex
-        payload["pivots"] = [_face_json(cx, f) for f in spec.order]
+        vertices = _json_vertices(spec.complex)
+        payload["pivots"] = [at_bits(vertices, f) for f in spec.order]
         payload["edges"] = [
-            [_face_json(cx, big), _face_json(cx, small)] for big, small in matching.pairs
+            [at_bits(vertices, big), at_bits(vertices, small)] for big, small in matching.pairs
         ]
         _emit(payload, args)
         return 0
     mc = morse_mod.morse_complex(q, s)
     cx = l2(q)
+    vertices = _json_vertices(cx)
     if args.emit == "cells":
         payload["counts"] = list(map(len, mc.cells))
-        payload["cells"] = [[_face_json(cx, f) for f in group] for group in mc.cells]
+        payload["cells"] = [[at_bits(vertices, f) for f in group] for group in mc.cells]
         _emit(payload, args)
     elif args.emit == "order":
         payload["order"] = [
-            [_face_json(cx, t), _face_json(cx, s_)] for s_, t in sorted(mc.order)
+            [at_bits(vertices, t), at_bits(vertices, s_)] for s_, t in sorted(mc.order)
         ]
         _emit(payload, args)
     else:
+        names = _vertex_names(cx)
+
+        def name(face: int) -> str:
+            return " ".join(at_bits(names, face))
+
         lines = [f'digraph cells_q{q}_s{s} {{']
-        lines += [f'  "{_face_name(cx, f)}";' for group in mc.cells for f in group]
+        lines += [f'  "{name(f)}";' for group in mc.cells for f in group]
         for s_, t in sorted(mc.order):
-            lines.append(f'  "{_face_name(cx, t)}" -> "{_face_name(cx, s_)}";')
+            lines.append(f'  "{name(t)}" -> "{name(s_)}";')
         _emit("\n".join(lines) + "\n}\n", args)
     return 0
 

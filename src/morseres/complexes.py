@@ -28,6 +28,17 @@ def _p(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i <= j else (j, i)
 
 
+def at_bits(items: Sequence, mask: int) -> list:
+    """The entries of ``items`` at the set bits of ``mask``, lowest bit
+    first, read from the set bits only."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1])
+        mask ^= low
+    return out
+
+
 def submasks(mask: int) -> Iterator[int]:
     """Every subset of ``mask``, from ``mask`` itself down to 0."""
     sub = mask
@@ -69,7 +80,7 @@ class SimplicialComplex:
         return m
 
     def members(self, face: int) -> tuple:
-        return tuple(self.vertices[k] for k in range(len(self.vertices)) if face >> k & 1)
+        return tuple(at_bits(self.vertices, face))
 
     def vertex_bit(self, label) -> int:
         return self._index[label]

@@ -203,6 +203,61 @@ def _bit_table(width: int, shift: int) -> list[tuple[int, ...]]:
     return table
 
 
+def _successors(up: dict[int, int], added: int) -> dict[int, int | tuple[int, ...]]:
+    """The digraph on the bigger partners, each probed at the bits of its
+    smaller face that lie in ``added``: a partner with one successor maps
+    to it as a bare int, one with more to a tuple of them, and one with
+    none is left out.  Tuples and ints, unlike lists, leave the cyclic
+    GC's scans, and a bare int reuses the value stored in ``up``."""
+    # the bits of small & added are read from two half-width tables
+    width = added.bit_length()
+    h = width // 2
+    low = (1 << h) - 1
+    lo, hi = _bit_table(h, 0), _bit_table(width - h, h)
+    get = up.get
+    succ: dict[int, int | tuple[int, ...]] = {}
+    for small, big in up.items():
+        x = small & added
+        out = None
+        for bit in lo[x & low] + hi[x >> h]:
+            nxt = get(big ^ bit)
+            if nxt is not None:
+                if out is None:
+                    out = nxt
+                elif out.__class__ is int:
+                    out = (out, nxt)
+                else:
+                    out += (nxt,)
+        if out is not None:
+            succ[big] = out
+    return succ
+
+
+def _has_cycle(succ: dict[int, int | tuple[int, ...]]) -> bool:
+    """A directed cycle in ``succ`` (as ``_successors`` builds it), found
+    by a depth-first search that empties the map as it visits."""
+    # a node is on the current path, still in succ (unvisited), or finished
+    on_path: set[int] = set()
+    while succ:
+        start, out = succ.popitem()
+        on_path.add(start)
+        stack = [(start, iter((out,) if out.__class__ is int else out))]
+        while stack:
+            node, it = stack[-1]
+            for nxt in it:
+                if nxt in on_path:
+                    return True
+                out = succ.pop(nxt, None)
+                if out is not None:
+                    on_path.add(nxt)
+                    stack.append((nxt, iter((out,) if out.__class__ is int else out)))
+                    break
+            else:
+                on_path.remove(node)
+                stack.pop()
+    return False
+
+
 def is_acyclic(faces: Iterable[int], matching: Matching) -> bool:
     """No directed cycle after reversing the matched edges.
 
@@ -222,11 +277,18 @@ def is_acyclic(faces: Iterable[int], matching: Matching) -> bool:
       of its edges has u in W, and u, not being the vertex big adds, in
       big's smaller face: only the bits of small & W are probed, and
       big's own partner is never hit.
-    - A bigger partner whose smaller face is not a face has no incoming
-      edge, so it lies on no cycle: the smaller faces of the partners
-      that have successors are tested against ``faces`` in one pass, and
-      the partners whose smaller face is missing lose their successors.
+    - ``faces`` is read only once a cycle is found.  The digraph is first
+      built over every matched edge, as if each smaller face were a face;
+      dropping nodes cannot add a cycle, so when that digraph has none
+      the verdict is ``True`` and ``faces`` stays unread.  Otherwise it
+      is built again and the bigger partners whose smaller face is not a
+      face lose their successors: such a partner has no incoming edge, so
+      it lies on no cycle.  The smaller faces of the partners that have
+      successors are tested against ``faces`` in one pass.
 
+    A partner with one successor stores it as a bare int and one with
+    more as a tuple (23,160 of the 158,952 partners with a successor at
+    (7, 3)); the 773,976 edges there with no successor store nothing.
     The successors are gathered by a plain loop over the probed bits,
     one ``up.get`` per probe: before Python 3.12 a comprehension costs a
     function call per edge.
@@ -235,53 +297,15 @@ def is_acyclic(faces: Iterable[int], matching: Matching) -> bool:
     if not up:
         return True
     added = reduce(or_, map(xor, up, up.values()))  # W, the vertices the edges add
-    # the bits of small & W are read from two half-width tables
-    width = added.bit_length()
-    h = width // 2
-    low = (1 << h) - 1
-    lo, hi = _bit_table(h, 0), _bit_table(width - h, h)
-    get = up.get
-    succ: dict[int, tuple[int, ...]] = {}
-    sources: set[int] = set()
-    for small, big in up.items():
-        x = small & added
-        # tuples of ints, unlike lists, leave the cyclic GC's scans, and
-        # the empty one is shared by the 773,976 edges at (7, 3) that have
-        # no successor
-        out = ()
-        for bit in lo[x & low] + hi[x >> h]:
-            nxt = get(big ^ bit)
-            if nxt is not None:
-                out += (nxt,)
-        if out:
-            succ[big] = out
-            sources.add(small)
+    if not _has_cycle(_successors(up, added)):
+        return True
+    succ = _successors(up, added)
     # what is left are the smaller faces that are not faces
-    sources.difference_update(faces)
-    for small in sources:
+    missing = {small for small, big in up.items() if big in succ}
+    missing.difference_update(faces)
+    for small in missing:
         del succ[up[small]]
-    del sources
-
-    # a node is on the current path, still in succ (unvisited), or finished
-    on_path: set[int] = set()
-    while succ:
-        start, out = succ.popitem()
-        on_path.add(start)
-        stack = [(start, iter(out))]
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                if nxt in on_path:
-                    return False
-                out = succ.pop(nxt, None)
-                if out is not None:
-                    on_path.add(nxt)
-                    stack.append((nxt, iter(out)))
-                    break
-            else:
-                on_path.remove(node)
-                stack.pop()
-    return True
+    return not _has_cycle(succ)
 
 
 def is_homogeneous(matching: Matching, labels: LabeledComplex) -> bool:

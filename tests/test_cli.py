@@ -423,6 +423,85 @@ def test_graded_array_is_written_as_its_rows_and_holds_none(rows):
     )
 
 
+def dumped(obj):
+    from io import StringIO
+
+    from morseres.cli import _dump_json
+
+    fh = StringIO()
+    _dump_json(obj, fh)
+    return fh.getvalue()
+
+
+WRITER_CASES = {
+    "nested": {"b": [1, [2, [3, {"c": []}]], {"d": {"e": [4, 5]}}], "a": {"z": 1, "y": [[6]]}},
+    "empty": [[], {}, [[]], {"k": {}}, {"k": []}],
+    "scalars": [True, False, None, [True, False, None], {"t": True, "n": None}],
+    # a flat array of exact ints is cached by its items; a bool or a float
+    # equal to one of them must not share its text
+    "look-alikes": [[[1], [True], [1.0]], [[0], [False], [0.0]], [[1, 1], [1, 1]]],
+    # and its text depends on its depth
+    "depths": [[1, 2], [[1, 2]], [[[1, 2]]], {"a": [[1, 2]]}],
+    "strings": ["", "tab\t quote\" back\\ nl\n", "caf\u00e9 \u03b1\u03b2 \U0001d49c", "\x00\x1f"],
+    "long string": ["x" * 5000, {"lcm": "y_{1,2}" * 1000, "betti": 1}],
+    "big ints": [2**64, -(2**200), [10**100, -1, 0], {"n": 3**300}],
+    "floats": [0.5, -0.0, 1e300, float("inf"), float("nan"), [2.5, 3]],
+    "tuples": {"pair": (1, 2), "faces": [((1, 1), (1, 2)), ((2, 3),)]},
+    # sorted together, keys must compare; None compares with nothing else
+    "keys": [{3: "int", 1.5: "float", True: "bool", -2: [0]}, {None: "none"}, {False: 0}],
+    "top scalar": "just a string",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_CASES))
+def test_json_writer_matches_json_dump(name):
+    obj = WRITER_CASES[name]
+    assert dumped(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("rows", [[], [(0, "x", 1), (0, "y", 1), (1, "xy", 1)]], ids=["empty", "rows"])
+def test_json_writer_on_graded_arrays(rows):
+    from morseres.cli import _GradedArray
+
+    listed = [{"degree": i, "lcm": m, "betti": v} for i, m, v in rows]
+    expected = json.dumps({"graded": listed, "total": [1]}, indent=2, sort_keys=True)
+    assert dumped({"graded": _GradedArray(rows), "total": [1]}) == expected
+    # a one-shot iterator of rows is read once, after one truth test, as
+    # `json.dump` reads it (and, as there, an empty one is truthy)
+    one_shot = json.dumps({"graded": _GradedArray(iter(rows))}, indent=2, sort_keys=True)
+    assert dumped({"graded": _GradedArray(iter(rows))}) == one_shot
+
+
+def test_json_writer_refuses_what_json_dump_refuses():
+    for bad in ({"a": {1, 2}}, [object()], {(1, 2): 3}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            dumped(bad)
+
+
+def test_json_writer_streams_graded_rows():
+    # rows with long lcms are written while the rows are still being read:
+    # no write holds more than a bounded share of the document
+    from morseres.cli import _FLUSH, _LONG, _dump_json, _GradedArray
+
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(len(text))
+
+    def rows():
+        for n in range(3 * _FLUSH):
+            yield n % 5, "y_{1,2}" * 200, n
+            if n == 2 * _FLUSH:
+                assert writes, "no write before the rows ran out"
+
+    _dump_json({"graded": _GradedArray(rows())}, Sink())
+    assert sum(writes) == len(dumped({"graded": _GradedArray(list(rows()))}))
+    assert max(writes) <= (_FLUSH + 8) * _LONG
+
+
 @pytest.mark.parametrize("name, field, fmt", sorted(GRADED_DIGESTS))
 def test_betti_graded_bytes(tmp_path, capsys, name, field, fmt):
     from morseres.extremal import power_generators, single_relation

@@ -244,6 +244,65 @@ def test_is_acyclic_detects_cyclic_matching():
     assert is_acyclic(cx.faces(), Matching(()))
 
 
+class Unread:
+    """Faces that fail the test when read."""
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        raise AssertionError("the faces were read")
+
+
+def test_acyclic_verdict_leaves_the_faces_unread():
+    # no cycle among all matched edges, so the face filter never runs
+    for q, s in ((3, 3), (4, 3), (5, 4)):
+        _, matching = matching_l2(q, s)
+        assert is_acyclic(Unread(), matching)
+    cx = SimplicialComplex("abc", ["ab", "bc", "ac"])
+    fine = Matching(((cx.mask("ab"), cx.mask("a")), (cx.mask("bc"), cx.mask("b"))))
+    assert is_acyclic(Unread(), fine)
+    assert is_acyclic(Unread(), Matching(()))
+    # a cycle among all matched edges makes the filter read the faces
+    cyclic = Matching(((cx.mask("ab"), cx.mask("a")), (cx.mask("bc"), cx.mask("b")),
+                       (cx.mask("ac"), cx.mask("c"))))
+    with pytest.raises(AssertionError, match="the faces were read"):
+        is_acyclic(Unread(), cyclic)
+
+
+def test_cycle_through_a_smaller_face_outside_the_faces():
+    # the triangle's gradient cycle ab -> bc -> ac -> ab climbs from each
+    # vertex; with vertex a missing, ab has no way in and the cycle breaks
+    cx = SimplicialComplex("abc", ["ab", "bc", "ac"])
+    a, b, c, ab, bc, ac = (cx.mask(v) for v in ("a", "b", "c", "ab", "bc", "ac"))
+    cyclic = Matching(((ab, a), (bc, b), (ac, c)))
+    without_a = [b, c, ab, bc, ac]
+    assert is_acyclic(without_a, cyclic)
+    assert is_acyclic(iter(without_a), cyclic)
+    assert not is_acyclic([a, *without_a], cyclic)
+    assert not is_acyclic(iter([a, *without_a]), cyclic)
+
+
+def test_acyclicity_check_stays_small_next_to_the_matching():
+    # the successors of the 13,660 edges at (6, 3) are held as bare ints
+    # where there is one, and no set of the faces is built: the traced
+    # peak stays well under the matching's own map
+    import gc
+    import sys
+    import tracemalloc
+
+    faces = list(l2(6).faces())
+    _, matching = matching_l2(6, 3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert is_acyclic(faces, matching)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.35 * sys.getsizeof(matching.up)
+
+
 def test_homogeneous_for_extremal_and_mislabeled_control():
     spec, matching = matching_l2(4, 3)
     square = power_generators(4, single_relation(3), 2)
