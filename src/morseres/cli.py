@@ -14,6 +14,7 @@ from contextlib import nullcontext
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 
 from . import betti as betti_mod
 from . import morse as morse_mod
@@ -24,26 +25,35 @@ from .monomials import MonomialIdeal, VariableSet, packed_masks
 from .sampling import random_ideals
 
 
-def _emit(payload, args, csv_rows=None) -> None:
-    """Write to ``--out`` or stdout: the CSV rows when ``--format csv``
-    asks for them, a string as it is, anything else as indented JSON,
-    each streamed to the file (one row at a time for CSV) rather than
-    built as one string first."""
-    with open(args.out, "w") if getattr(args, "out", None) else nullcontext(sys.stdout) as fh:
-        if getattr(args, "format", "json") == "csv" and csv_rows is not None:
-            for row in csv_rows:
-                fh.write(",".join(map(str, row)) + "\n")
-        elif isinstance(payload, str):
-            fh.write(payload)
-        else:
+def _emit(payload, args) -> None:
+    """Write ``payload`` to ``--out`` or stdout as it is produced: a dict
+    as indented JSON, any other iterable as the text chunks it yields."""
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+        if isinstance(payload, dict):
             _dump_json(payload, fh)
             fh.write("\n")
+        else:
+            fh.writelines(payload)
+
+
+def _csv_lines(rows):
+    """Each row as a line of CSV: a field that holds ``,``, ``"``, CR or
+    LF is quoted, each ``"`` doubled, as RFC 4180 says; any other field
+    is written as it is."""
+    for row in rows:
+        fields = [
+            '"' + f.replace('"', '""') + '"' if "," in f or '"' in f or "\r" in f or "\n" in f
+            else f
+            for f in map(str, row)
+        ]
+        yield ",".join(fields) + "\n"
 
 
 _FLUSH = 1 << 12  # pieces of JSON text held before one write
 _LONG = 1 << 8  # a string encoded longer than this is written at once
 _TEXTS_MAX = 1 << 12  # int arrays whose text one dump keeps
-_ARRAYS = (list, tuple)
+_SEQUENCES = (list, tuple)
+_ARRAYS = (*_SEQUENCES, GeneratorType)
 _INTS = frozenset({int})  # exact ints: a bool is written as true or false
 
 
@@ -53,13 +63,13 @@ def _dump_json(obj, fh) -> None:
 
     With an indent, `json.dump` always runs the pure-Python encoder, one
     generator step per value.  Here an array of exact ints inside an
-    array is written as one join, and its text is kept per indent, up to
-    ``_TEXTS_MAX`` of them, so the vertices (i, j) that every face of the
-    pair complex repeats are encoded once per depth.  Every other array
-    is iterated once, after one truth test, as `json.dump` does: a list
-    subclass such as ``_GradedArray`` is written as it yields.  No piece
-    held is a string longer than ``_LONG``, so a graded Betti row with a
-    long lcm is not held past its write."""
+    array (a list or a tuple) is written as one join, and its text is kept
+    per indent, up to ``_TEXTS_MAX`` of them, so the vertices (i, j) that
+    every face of the pair complex repeats are encoded once per depth.
+    A generator is written as an array, read once as it yields, so no
+    artifact is built before it is written.  No piece held is a string
+    longer than ``_LONG``, so a graded Betti row with a long lcm is not
+    held past its write."""
     parts: list[str] = []
     append = parts.append
     texts: dict[tuple[int, ...], str] = {}
@@ -97,15 +107,14 @@ def _dump_json(obj, fh) -> None:
             append(scalar(o))
 
     def array(o, ind: str) -> None:
-        if not o:
-            append("[]")
-            return
+        # no truth test: "[" opens as the first item arrives, and an
+        # array with none is written as [] at its end
         inner = ind + "  "
         sep = "[" + inner
         for x in o:
             append(sep)
             sep = "," + inner
-            if x.__class__ in _ARRAYS and x and all(map(_INTS.__contains__, map(type, x))):
+            if x.__class__ in _SEQUENCES and x and all(map(_INTS.__contains__, map(type, x))):
                 key = (len(inner), *x)
                 text = texts.get(key)
                 if text is None:
@@ -118,12 +127,9 @@ def _dump_json(obj, fh) -> None:
                 value(x, inner)
             if len(parts) > _FLUSH:
                 flush()
-        append(ind + "]")
+        append("[]" if sep[0] == "[" else ind + "]")
 
     def mapping(o, ind: str) -> None:
-        if not o:
-            append("{}")
-            return
         inner = ind + "  "
         sep = "{" + inner
         for k, v in sorted(o.items()):
@@ -138,29 +144,10 @@ def _dump_json(obj, fh) -> None:
             value(v, inner)
             if len(parts) > _FLUSH:
                 flush()
-        append(ind + "}")
+        append("{}" if sep[0] == "{" else ind + "}")
 
     value(obj, "\n")
     flush()
-
-
-class _GradedArray(list):
-    """The graded rows of a Betti table as a JSON array that `_dump_json`
-    (or `json.dump`) reads one row at a time as it writes: the list
-    itself stays empty, so no row dict is held, and it is truthy when
-    ``rows`` is, so a nonempty array is not written as ``[]``.  A
-    generator of rows, as `BettiTable.graded_rows` returns, is always
-    truthy, and a Betti table always has rows in degree 0."""
-
-    def __init__(self, rows):
-        super().__init__()
-        self.rows = rows
-
-    def __bool__(self) -> bool:
-        return bool(self.rows)
-
-    def __iter__(self):
-        return ({"degree": i, "lcm": str(m), "betti": v} for i, m, v in self.rows)
 
 
 def _padded(counts, width: int) -> list[int]:
@@ -203,10 +190,14 @@ def cmd_relations(args) -> int:
     if args.limit > ceiling:
         raise ValueError(f"--limit must be at most {ceiling}, got {args.limit}")
     ideal = MonomialIdeal.load(args.ideal)
-    report = rel_mod.all_relations(ideal, limit=args.limit)
-    payload = report.to_dict()
     if args.minimal_only:
-        payload.pop("all")
+        minimal = sorted(rel_mod.minimal_relations(ideal, args.limit), key=rel_mod.DivRel.sort_key)
+        # each generator b lies in 2^(q-1) of the subsets B, so q 2^(q-1)
+        # trivial relations (b, B) hold
+        payload = {"schema": 1, "minimal": [r.to_dict() for r in minimal],
+                   "trivialCount": ideal.q << ideal.q >> 1}
+    else:
+        payload = rel_mod.all_relations(ideal, limit=args.limit).to_dict()
     _emit(payload, args)
     return 0
 
@@ -216,7 +207,7 @@ def cmd_complex(args) -> int:
     payload = {"schema": 1, "type": args.type, "q": args.q}
     if args.faces:
         vertices = _json_vertices(cx)
-        payload["faces"] = [at_bits(vertices, m) for m in cx.faces()]
+        payload["faces"] = (at_bits(vertices, m) for m in cx.faces())
     else:
         payload["fvector"] = list(cx.f_vector())
     _emit(payload, args)
@@ -229,10 +220,11 @@ def cmd_morse(args) -> int:
     if args.emit == "matching":
         spec, matching = morse_mod.matching_l2(q, s)
         vertices = _json_vertices(spec.complex)
-        payload["pivots"] = [at_bits(vertices, f) for f in spec.order]
-        payload["edges"] = [
-            [at_bits(vertices, big), at_bits(vertices, small)] for big, small in matching.pairs
-        ]
+        payload["pivots"] = (at_bits(vertices, f) for f in spec.order)
+        payload["edges"] = (
+            [at_bits(vertices, big), at_bits(vertices, small)]
+            for small, big in matching.up.items()
+        )
         _emit(payload, args)
         return 0
     mc = morse_mod.morse_complex(q, s)
@@ -240,12 +232,12 @@ def cmd_morse(args) -> int:
     vertices = _json_vertices(cx)
     if args.emit == "cells":
         payload["counts"] = list(map(len, mc.cells))
-        payload["cells"] = [[at_bits(vertices, f) for f in group] for group in mc.cells]
+        payload["cells"] = ((at_bits(vertices, f) for f in group) for group in mc.cells)
         _emit(payload, args)
     elif args.emit == "order":
-        payload["order"] = [
+        payload["order"] = (
             [at_bits(vertices, t), at_bits(vertices, s_)] for s_, t in sorted(mc.order)
-        ]
+        )
         _emit(payload, args)
     else:
         names = _vertex_names(cx)
@@ -253,11 +245,12 @@ def cmd_morse(args) -> int:
         def name(face: int) -> str:
             return " ".join(at_bits(names, face))
 
-        lines = [f'digraph cells_q{q}_s{s} {{']
-        lines += [f'  "{name(f)}";' for group in mc.cells for f in group]
-        for s_, t in sorted(mc.order):
-            lines.append(f'  "{name(t)}" -> "{name(s_)}";')
-        _emit("\n".join(lines) + "\n}\n", args)
+        _emit(chain(
+            [f"digraph cells_q{q}_s{s} {{\n"],
+            (f'  "{name(f)}";\n' for group in mc.cells for f in group),
+            (f'  "{name(t)}" -> "{name(s_)}";\n' for s_, t in sorted(mc.order)),
+            ["}\n"],
+        ), args)
     return 0
 
 
@@ -266,15 +259,15 @@ def cmd_betti(args) -> int:
         raise ValueError("--format csv needs --graded; only the graded table has CSV rows")
     ideal = MonomialIdeal.load(args.ideal)
     table = betti_mod.graded_betti(ideal, args.field)
+    if args.format == "csv":
+        _emit(_csv_lines(chain([("degree", "lcm", "betti")], table.graded_rows())), args)
+        return 0
     payload = table.to_dict()
-    rows = None
     if args.graded:
-        graded = table.graded_rows()
-        if args.format == "csv":
-            rows = chain([("degree", "lcm", "betti")], ((i, str(m), v) for i, m, v in graded))
-        else:
-            payload["graded"] = _GradedArray(graded)
-    _emit(payload, args, csv_rows=rows)
+        payload["graded"] = (
+            {"degree": i, "lcm": str(m), "betti": v} for i, m, v in table.graded_rows()
+        )
+    _emit(payload, args)
     return 0
 
 
@@ -581,12 +574,12 @@ def cmd_verify(args) -> int:
         raise ValueError(f"suite {args.suite!r} has no CSV rows; only table1 does")
     checks = SUITES[args.suite](args)
     ok = _print_checks(checks)
-    rows = None
     if csv:
         pair, pruned = (c["got"] for c in checks)
         rows = [["complex"] + [f"beta{i}" for i in range(6)], ["L2_4"] + pair, ["L2_4_D"] + pruned]
-    if args.out or rows:
-        _emit({"schema": 1, "ok": ok, "checks": checks}, args, csv_rows=rows)
+        _emit(_csv_lines(rows), args)
+    elif args.out:
+        _emit({"schema": 1, "ok": ok, "checks": checks}, args)
     return 0 if ok else 1
 
 

@@ -69,8 +69,6 @@ class SimplicialComplex:
         for m in sorted(set(raw), key=lambda x: (-x.bit_count(), x)):
             if not any(m & big == m for big in maximal):
                 maximal.append(m)
-        if len(maximal) > 1 and 0 in maximal:
-            maximal.remove(0)
         self.facets = tuple(sorted(maximal, key=lambda x: (x.bit_count(), x)))
 
     def mask(self, labels: Iterable) -> int:

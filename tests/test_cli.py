@@ -54,6 +54,71 @@ def test_relations_command(tmp_path, capsys):
     assert "all" not in payload
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["morse", "--q", "4", "--s", "3", "--emit", "dot"], ["complex", "--type", "l2", "--q", "5", "--faces"]],
+    ids=["dot", "faces"],
+)
+def test_artifact_is_written_while_its_faces_are_read(monkeypatch, argv):
+    # every face is listed through `at_bits` as the artifact is written,
+    # so bytes are out before the last face is read
+    from io import StringIO
+
+    from morseres import cli
+
+    out = StringIO()
+    written = []
+
+    def at_bits(items, mask):
+        written.append(out.tell())
+        return real(items, mask)
+
+    real = cli.at_bits
+    monkeypatch.setattr(cli, "at_bits", at_bits)
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(argv) == 0
+    assert 0 < written[-1] < len(out.getvalue())
+
+
+def test_csv_lines_quote_what_rfc_4180_quotes():
+    import csv
+
+    from morseres.cli import _csv_lines
+
+    rows = [["a,b", 'say "hi"', "x\ny", "r\rs", "plain", 3], ["", "y_{1,2}", 0]]
+    lines = list(_csv_lines(rows))
+    assert lines[0] == '"a,b","say ""hi""","x\ny","r\rs",plain,3\n'
+    assert lines[1] == ',"y_{1,2}",0\n'
+    assert list(csv.reader("".join(lines).splitlines(keepends=True))) == [
+        [str(x) for x in row] for row in rows
+    ]
+
+
+def test_graded_csv_at_q10_reads_back(tmp_path, capsys):
+    # from q = 10 on a subset name holds a comma, y_{1,2}, so the lcm
+    # column is quoted
+    import csv
+
+    from morseres.betti import graded_betti
+    from morseres.extremal import extremal_generators
+    from morseres.monomials import MonomialIdeal
+
+    path = tmp_path / "e10.json"
+    assert main(["extremal", "--q", "10", "--rel", "1:2,3", "--out", str(path)]) == 0
+    code, text = run(capsys, "betti", "--ideal", str(path), "--graded", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(text.splitlines(keepends=True)))
+    assert all(len(row) == 3 for row in rows)
+    assert rows[0] == ["degree", "lcm", "betti"]
+    ideal = MonomialIdeal.load(path)
+    assert ideal == extremal_generators(10, [(1, {2, 3})])
+    expected = list(graded_betti(ideal).graded_rows())
+    assert any("," in str(m) for _, m, _ in expected)
+    assert len(rows) == len(expected) + 1
+    for (i, lcm, v), (ei, em, ev) in zip(rows[1:], expected):
+        assert (int(i), ideal.ring.parse(lcm), int(v)) == (ei, em, ev)
+
+
 def test_complex_fvector(capsys):
     code, text = run(capsys, "complex", "--type", "l2", "--q", "4", "--fvector")
     assert code == 0
@@ -344,12 +409,16 @@ def test_capacity_error_exits_2_without_traceback(capsys):
 
 
 @pytest.mark.parametrize("kind, q", [("l2", "8"), ("taylor", "40")])
-def test_face_listing_above_the_walk_bound_exits_2(capsys, kind, q):
-    assert main(["complex", "--type", kind, "--q", q, "--fvector"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("morseres: error: ")
-    assert captured.err.count("\n") == 1
+def test_face_listing_above_the_walk_bound_exits_2(tmp_path, capsys, kind, q):
+    # the face list raises as its generator is made, before --out is opened
+    out = tmp_path / "faces.json"
+    for option in ("--fvector", "--faces"):
+        assert main(["complex", "--type", kind, "--q", q, option, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("morseres: error: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -411,18 +480,6 @@ GRADED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("rows", [[], [(0, "x", 1), (0, "y", 1), (1, "xy", 1)]], ids=["empty", "rows"])
-def test_graded_array_is_written_as_its_rows_and_holds_none(rows):
-    from morseres.cli import _GradedArray
-
-    array = _GradedArray(rows)
-    assert len(array) == 0
-    listed = [{"degree": i, "lcm": m, "betti": v} for i, m, v in rows]
-    assert json.dumps({"graded": array}, indent=2, sort_keys=True) == json.dumps(
-        {"graded": listed}, indent=2, sort_keys=True
-    )
-
-
 def dumped(obj):
     from io import StringIO
 
@@ -460,20 +517,60 @@ def test_json_writer_matches_json_dump(name):
 
 
 @pytest.mark.parametrize("rows", [[], [(0, "x", 1), (0, "y", 1), (1, "xy", 1)]], ids=["empty", "rows"])
-def test_json_writer_on_graded_arrays(rows):
-    from morseres.cli import _GradedArray
-
+def test_json_writer_on_generators(rows):
+    # graded rows as `betti --graded` hands them over: a generator of row
+    # dicts, written as the array of the listed rows, an empty one as []
     listed = [{"degree": i, "lcm": m, "betti": v} for i, m, v in rows]
     expected = json.dumps({"graded": listed, "total": [1]}, indent=2, sort_keys=True)
-    assert dumped({"graded": _GradedArray(rows), "total": [1]}) == expected
-    # a one-shot iterator of rows is read once, after one truth test, as
-    # `json.dump` reads it (and, as there, an empty one is truthy)
-    one_shot = json.dumps({"graded": _GradedArray(iter(rows))}, indent=2, sort_keys=True)
-    assert dumped({"graded": _GradedArray(iter(rows))}) == one_shot
+    graded = ({"degree": i, "lcm": m, "betti": v} for i, m, v in rows)
+    assert dumped({"graded": graded, "total": [1]}) == expected
+    assert dumped(row for row in listed) == json.dumps(listed, indent=2, sort_keys=True)
+    assert dumped(x for x in ()) == "[]"
+    # nested generators, empty ones among them
+    nested = [[1, [2, 3]], [], [{"a": []}], [[]]]
+    assert dumped((x for x in row) for row in nested) == json.dumps(nested, indent=2)
+    assert dumped({"a": (((y for y in x) for x in row) for row in [[[1], []], []])}) == json.dumps(
+        {"a": [[[1], []], []]}, indent=2
+    )
+
+
+def test_json_writer_reads_a_generator_once():
+    pulled = []
+
+    def items():
+        for n in range(3):
+            pulled.append(n)
+            yield [n, {"k": n}]
+
+    gen = items()
+    expected = json.dumps({"a": [[n, {"k": n}] for n in range(3)]}, indent=2, sort_keys=True)
+    assert dumped({"a": gen}) == expected
+    assert pulled == [0, 1, 2]
+    assert next(gen, None) is None
+
+
+def test_json_writer_takes_the_int_array_path_for_a_generators_items(monkeypatch):
+    # faces a generator yields as flat int lists are tested, joined and
+    # cached as the items of a list are; the generator itself is not
+    from morseres import cli
+
+    tested = []
+
+    class Ints(frozenset):
+        def __contains__(self, t):
+            tested.append(t)
+            return frozenset.__contains__(self, t)
+
+    monkeypatch.setattr(cli, "_INTS", Ints({int}))
+    faces = [[1, 2], [1, 2], [3], (4, 5)]
+    for outer in (faces, (f for f in faces)):
+        tested.clear()
+        assert dumped({"faces": outer}) == json.dumps({"faces": faces}, indent=2)
+        assert tested == [int] * 7
 
 
 def test_json_writer_refuses_what_json_dump_refuses():
-    for bad in ({"a": {1, 2}}, [object()], {(1, 2): 3}):
+    for bad in ({"a": {1, 2}}, [object()], {(1, 2): 3}, [(x for x in [{1}])]):
         with pytest.raises(TypeError):
             json.dumps(bad, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
@@ -483,7 +580,7 @@ def test_json_writer_refuses_what_json_dump_refuses():
 def test_json_writer_streams_graded_rows():
     # rows with long lcms are written while the rows are still being read:
     # no write holds more than a bounded share of the document
-    from morseres.cli import _FLUSH, _LONG, _dump_json, _GradedArray
+    from morseres.cli import _FLUSH, _LONG, _dump_json
 
     writes = []
 
@@ -493,12 +590,12 @@ def test_json_writer_streams_graded_rows():
 
     def rows():
         for n in range(3 * _FLUSH):
-            yield n % 5, "y_{1,2}" * 200, n
+            yield {"degree": n % 5, "lcm": "y_{1,2}" * 200, "betti": n}
             if n == 2 * _FLUSH:
                 assert writes, "no write before the rows ran out"
 
-    _dump_json({"graded": _GradedArray(rows())}, Sink())
-    assert sum(writes) == len(dumped({"graded": _GradedArray(list(rows()))}))
+    _dump_json({"graded": rows()}, Sink())
+    assert sum(writes) == len(dumped({"graded": list(rows())}))
     assert max(writes) <= (_FLUSH + 8) * _LONG
 
 
@@ -572,6 +669,39 @@ def test_extremal_power_below_one_exits_2(tmp_path, capsys, power):
     assert captured.err.startswith("morseres: error: ")
     assert captured.err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["q4-square", "q5-square", "random"])
+def test_minimal_only_document_is_the_full_one_without_all(tmp_path, capsys, name):
+    # --minimal-only lists no relation but the minimal ones and counts the
+    # trivial ones as q 2^(q-1); the q = 5 square holds 375,176 relations
+    from morseres.extremal import power_generators, single_relation
+    from morseres.relations import all_relations
+    from morseres.sampling import random_ideals
+
+    if name == "random":
+        drawn = list(random_ideals(6, q=4, s=3, seed=3))
+        ideals = drawn + [ideal.power(2).minimalize() for ideal in drawn]
+    else:
+        ideals = [power_generators(int(name[1]), single_relation(3), 2)]
+    path = tmp_path / "ideal.json"
+    for ideal in ideals:
+        ideal.save(path)
+        code, text = run(capsys, "relations", "--ideal", str(path), "--limit", "16",
+                         "--minimal-only")
+        assert code == 0
+        report = all_relations(ideal, limit=16)
+        assert report.trivial_count == ideal.q << (ideal.q - 1)
+        assert json.loads(text) == {
+            "schema": 1,
+            "minimal": [r.to_dict() for r in report.minimal],
+            "trivialCount": report.trivial_count,
+        }
+        if ideal.q <= 10:
+            code, whole = run(capsys, "relations", "--ideal", str(path), "--limit", "16")
+            document = json.loads(whole)
+            document.pop("all")
+            assert text == json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 def test_relations_limit_above_16_exits_2(tmp_path, capsys):

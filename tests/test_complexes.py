@@ -222,6 +222,7 @@ def test_face_list_equals_brute_force_enumeration():
     ([[0, 2, 4], [1, 2, 3], [3, 4], [0, 5]], 4),  # overlapping facets of two sizes
     ([[0, 1, 2, 3], [1, 2], [2, 4]], 2),  # a dominated facet beside an overlapping one
     ([[1, 3, 5, 6], [0, 3, 5], [0, 1, 2, 4, 6], [4, 5]], 4),  # the largest given third
+    ([[], [0, 1]], 1),  # the empty facet beside another, dominated by it
 ])
 def test_face_list_from_the_largest_facet_equals_brute_force(facets, kept):
     cx = SimplicialComplex(range(7), facets)
