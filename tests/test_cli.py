@@ -516,15 +516,37 @@ def test_json_writer_matches_json_dump(name):
     assert dumped(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("rows", [[], [(0, "x", 1), (0, "y", 1), (1, "xy", 1)]], ids=["empty", "rows"])
-def test_json_writer_on_generators(rows):
-    # graded rows as `betti --graded` hands them over: a generator of row
-    # dicts, written as the array of the listed rows, an empty one as []
+GRADED_ROWS = [[], [(0, "x", 1), (0, "y", 1), (1, "xy", 1)]]
+
+
+def graded_generator(rows, pulled):
+    # graded rows as `betti --graded` hands them over: a generator of row dicts
+    for i, m, v in rows:
+        pulled.append(m)
+        yield {"degree": i, "lcm": m, "betti": v}
+
+
+@pytest.mark.parametrize("rows", GRADED_ROWS, ids=["empty", "rows"])
+def test_graded_array_is_written_as_its_rows_and_holds_none(rows):
+    # the graded array holds no row until it is written, and is written as
+    # the array of its rows, an empty one as []
+    pulled = []
+    graded = graded_generator(rows, pulled)
+    assert pulled == []
+    listed = [{"degree": i, "lcm": m, "betti": v} for i, m, v in rows]
+    assert dumped({"graded": graded}) == json.dumps({"graded": listed}, indent=2, sort_keys=True)
+    assert pulled == [m for _, m, _ in rows]
+
+
+@pytest.mark.parametrize("rows", GRADED_ROWS, ids=["empty", "rows"])
+def test_json_writer_on_graded_arrays(rows):
     listed = [{"degree": i, "lcm": m, "betti": v} for i, m, v in rows]
     expected = json.dumps({"graded": listed, "total": [1]}, indent=2, sort_keys=True)
-    graded = ({"degree": i, "lcm": m, "betti": v} for i, m, v in rows)
-    assert dumped({"graded": graded, "total": [1]}) == expected
+    assert dumped({"graded": graded_generator(rows, []), "total": [1]}) == expected
     assert dumped(row for row in listed) == json.dumps(listed, indent=2, sort_keys=True)
+
+
+def test_json_writer_on_generators():
     assert dumped(x for x in ()) == "[]"
     # nested generators, empty ones among them
     nested = [[1, [2, 3]], [], [{"a": []}], [[]]]
