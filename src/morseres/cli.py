@@ -190,14 +190,14 @@ def cmd_relations(args) -> int:
     if args.limit > ceiling:
         raise ValueError(f"--limit must be at most {ceiling}, got {args.limit}")
     ideal = MonomialIdeal.load(args.ideal)
-    if args.minimal_only:
-        minimal = sorted(rel_mod.minimal_relations(ideal, args.limit), key=rel_mod.DivRel.sort_key)
-        # each generator b lies in 2^(q-1) of the subsets B, so q 2^(q-1)
-        # trivial relations (b, B) hold
-        payload = {"schema": 1, "minimal": [r.to_dict() for r in minimal],
-                   "trivialCount": ideal.q << ideal.q >> 1}
-    else:
-        payload = rel_mod.all_relations(ideal, limit=args.limit).to_dict()
+    minimal = sorted(rel_mod.minimal_relations(ideal, args.limit), key=rel_mod.DivRel.sort_key)
+    # each generator b lies in 2^(q-1) of the subsets B, so q 2^(q-1)
+    # trivial relations (b, B) hold
+    payload = {"schema": 1, "minimal": [r.to_dict() for r in minimal],
+               "trivialCount": ideal.q << ideal.q >> 1}
+    if not args.minimal_only:
+        # every relation, written as it is read: 375,176 on the q = 5 square
+        payload["all"] = rel_mod.relation_dicts(ideal, args.limit)
     _emit(payload, args)
     return 0
 

@@ -96,13 +96,16 @@ def _checked_up(up: dict[int, int], edges: int) -> dict[int, int]:
 
 
 def _containment_table(parts: list[int], width: int) -> list[int]:
-    """Entry x (a ``width``-bit mask) has bit i set when parts[i] lies in x."""
-    table = [0] * (1 << width)
-    for i, part in enumerate(parts):
-        table[part] |= 1 << i
+    """Entry x (a ``width``-bit mask) has bit i set when parts[i] lies in x.
+
+    Built by doubling, from one entry holding every part: for each bit b
+    in turn, the table over bits 0..b is the table over bits 0..b-1 with
+    the parts holding b dropped (the entries without b), then the same
+    table as it was (the entries with b), 2^(width+1) steps in all."""
+    table = [(1 << len(parts)) - 1]
     for b in range(width):
-        bit = 1 << b
-        table = [t | table[x ^ bit] if x & bit else t for x, t in enumerate(table)]
+        avoid = sum(1 << i for i, part in enumerate(parts) if not part >> b & 1)
+        table = [t & avoid for t in table] + table
     return table
 
 

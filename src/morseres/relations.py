@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Iterator
 
 from . import extremal
 from .complexes import LabeledComplex, _p, l2, n2_pairs, taylor
@@ -19,7 +20,8 @@ from .monomials import MonomialIdeal, bit_columns, lcm_of, packed_masks
 
 BRUTE_FORCE_LIMIT = 12
 # all_relations holds every relation that holds in memory: about 240 MB
-# at 14 generators, four to five times more for each two more
+# at 14 generators, four to five times more for each two more;
+# relation_dicts holds one generator's at a time
 BRUTE_FORCE_CEILING = 16
 # the largest q of each verify_square_characterization scope and of minimality_audit
 SCOPE_QMAX = {"taylor": 5, "l2": 6}
@@ -143,8 +145,18 @@ def _set_bits(x: int) -> list[int]:
     return out
 
 
-def _mask_members(m: int) -> frozenset[int]:
-    return frozenset(k + 1 for k in range(m.bit_length()) if m >> k & 1)
+def _members(m: int) -> tuple[int, ...]:
+    """The 1-based indices of the set bits of m, in increasing order."""
+    return tuple(k + 1 for k in range(m.bit_length()) if m >> k & 1)
+
+
+def _sorted_held(b: int, got: int, singles: list[int]) -> list[tuple[int, ...]]:
+    """Every B with (b + 1, B) holding, as by `_held_nontrivial`'s ``got``
+    for generator b (0-based) together with the trivial B, those holding
+    b: each as its sorted members, in increasing order, which is
+    `DivRel.sort_key`'s order within one b."""
+    trivial = ((1 << (1 << len(singles))) - 1) ^ singles[b]
+    return sorted(map(_members, _set_bits(trivial | got)))
 
 
 def minimal_relations(ideal: MonomialIdeal, limit: int = BRUTE_FORCE_LIMIT) -> frozenset[DivRel]:
@@ -152,29 +164,36 @@ def minimal_relations(ideal: MonomialIdeal, limit: int = BRUTE_FORCE_LIMIT) -> f
     held relation on a proper subset)."""
     held, singles = _held_nontrivial(ideal, limit)
     return frozenset(
-        DivRel(b + 1, _mask_members(m))
+        DivRel(b + 1, _members(m))
         for b, got in enumerate(held)
         for m in _set_bits(_minimal_masks(got, singles))
     )
 
 
+def relation_dicts(ideal: MonomialIdeal, limit: int = BRUTE_FORCE_LIMIT) -> Iterator[dict]:
+    """``DivRel.to_dict()`` of every relation that holds, in
+    `DivRel.sort_key` order, built one generator b at a time as they are
+    read; the bound on the generators is checked at once."""
+    held, singles = _held_nontrivial(ideal, limit)
+    return (
+        {"b": b + 1, "B": list(members)}
+        for b, got in enumerate(held)
+        for members in _sorted_held(b, got, singles)
+    )
+
+
 def all_relations(ideal: MonomialIdeal, limit: int = BRUTE_FORCE_LIMIT) -> RelationReport:
     """Every relation (b, B) that holds, the minimal ones, and the count
-    of trivial ones (b in B, which always hold)."""
+    of trivial ones (b in B, which always hold): each generator lies in
+    half of the 2^q subsets."""
     held, singles = _held_nontrivial(ideal, limit)
-    full = (1 << (1 << ideal.q)) - 1
     rels = []
     minimal = []
-    trivial_count = 0
     for b, got in enumerate(held):
-        trivial = _set_bits(full ^ singles[b])
-        trivial_count += len(trivial)
-        rels.extend(DivRel(b + 1, _mask_members(m)) for m in trivial + _set_bits(got))
-        least = _set_bits(_minimal_masks(got, singles))
-        minimal.extend(DivRel(b + 1, _mask_members(m)) for m in least)
-    rels.sort(key=DivRel.sort_key)
-    minimal.sort(key=DivRel.sort_key)
-    return RelationReport(tuple(rels), tuple(minimal), trivial_count)
+        rels.extend(DivRel(b + 1, members) for members in _sorted_held(b, got, singles))
+        least = sorted(map(_members, _set_bits(_minimal_masks(got, singles))))
+        minimal.extend(DivRel(b + 1, members) for members in least)
+    return RelationReport(tuple(rels), tuple(minimal), ideal.q << ideal.q >> 1)
 
 
 # ---------------------------------------------------------------------------

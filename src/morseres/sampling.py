@@ -31,20 +31,27 @@ def random_squarefree_ideal(
 
     # square-free monomials as variable bitmasks, which are also their
     # packed masks (every exponent is at most 1)
-    def draw_from(indices):
+    random = rng.random
+    bits = [1 << v for v in range(num_vars)]
+
+    def draw_from(candidates):
+        # one draw per candidate bit, in order, each kept with chance 1/2
         while True:
-            picked = [v for v in indices if rng.random() < 0.5]
-            if len(picked) >= 2:
-                return sum(1 << v for v in picked)
+            mask = 0
+            for bit in candidates:
+                if random() < 0.5:
+                    mask |= bit
+            if mask.bit_count() >= 2:
+                return mask
 
     for _ in range(MAX_TRIES):
-        rest = [draw_from(range(num_vars)) for _ in range(q - 1)]
+        rest = [draw_from(bits) for _ in range(q - 1)]
         target = 0
         for g in rest[: s - 1]:
             target |= g
         if target.bit_count() < 2:
             continue
-        first = draw_from([v for v in range(num_vars) if target >> v & 1])
+        first = draw_from([bit for bit in bits if target & bit])
         masks = [first] + rest
         if len(minimal_indices(masks)) == q:
             return MonomialIdeal(ring, [packed_to_monomial(g, ring) for g in masks])

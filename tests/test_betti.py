@@ -26,6 +26,8 @@ from morseres.complexes import LabeledComplex, SimplicialComplex, l2
 from morseres.errors import CapacityError, NonMinimalIdealError
 from morseres.extremal import extremal_generators, power_generators, single_relation
 from morseres.monomials import (
+    MAX_MASK_BITS,
+    Monomial,
     MonomialIdeal,
     VariableSet,
     bit_columns,
@@ -154,6 +156,37 @@ def test_both_routes_reject_the_unit_ideal(oracle):
     ring = VariableSet("a")
     with pytest.raises(ValueError, match="unit ideal"):
         oracle(MonomialIdeal(ring, [ring.one()]))
+
+
+@pytest.mark.parametrize("oracle", [graded_betti, graded_betti_via_interval])
+def test_a_unit_beside_another_generator_is_not_minimal(oracle):
+    # 1 divides a, so (1, a) fails the minimality test before the unit test
+    ring = VariableSet("a")
+    with pytest.raises(NonMinimalIdealError, match="minimalize"):
+        oracle(MonomialIdeal(ring, [ring.one(), ring.parse("a")]))
+
+
+def test_a_mask_too_wide_to_pack_raises_before_minimality_is_tested(monkeypatch):
+    def untested(masks):
+        raise AssertionError("minimality tested before the masks were packed")
+
+    monkeypatch.setattr(betti, "minimal_indices", untested)
+    ring = VariableSet("ab")
+    wide = Monomial(ring, (MAX_MASK_BITS // 2 + 1, 0))
+    # neither is minimal, as a divides the wide power of a
+    for gens in ([wide, ring.parse("a")], [ring.parse("a"), wide]):
+        with pytest.raises(CapacityError, match="packed mask"):
+            graded_betti(MonomialIdeal(ring, gens))
+
+
+def test_the_generator_cap_is_tested_last():
+    ring = VariableSet("ab")
+    with pytest.raises(NonMinimalIdealError):
+        graded_betti(MonomialIdeal(ring, [ring.parse("a"), ring.parse("ab")]), cap=1)
+    with pytest.raises(ValueError, match="unit ideal"):
+        graded_betti(MonomialIdeal(ring, [ring.one()]), cap=0)
+    with pytest.raises(CapacityError, match="homology bound"):
+        graded_betti(MonomialIdeal(ring, [ring.parse("a"), ring.parse("b")]), cap=1)
 
 
 @pytest.mark.parametrize("tag", ["f2", "gf(2)", "GF2", "rat", "q", "Rational"])
@@ -367,6 +400,52 @@ def test_collapse_matches_rank_route_on_random_ideals_and_squares():
         for case in (ideal, ideal.power(2).minimalize()):
             for field in ("gf2", "rational"):
                 assert graded_betti(case, field).entries == rank_route_entries(case, field), case
+
+
+SEED11_CASES = [
+    case
+    for ideal in random_ideals(20, q=4, s=3, seed=11)
+    for case in (ideal, ideal.power(2).minimalize())
+]
+MEMO_CASES = SEED11_CASES + [
+    power_generators(q, single_relation(s), 2) for q in range(3, 6) for s in range(3, q + 1)
+]
+
+
+@pytest.mark.parametrize("ideal", MEMO_CASES, ids=range(len(MEMO_CASES)))
+def test_collapse_memo_is_transparent(ideal):
+    # each table as the memo left it by every call before, and with the
+    # memo emptied before each call; the fields share its entries
+    warm = {field: graded_betti(ideal, field).entries for field in ("gf2", "rational")}
+    for field in ("rational", "gf2"):
+        betti._collapse.cache_clear()
+        assert graded_betti(ideal, field).entries == warm[field], field
+
+
+def test_every_rank_fallback_is_taken_with_a_warm_memo(monkeypatch):
+    # draws 18 and 19 of seed 11 fall back; a second run over the same
+    # draws finds every collapse in the memo and still ranks each time
+    calls = count_rank_fallbacks(monkeypatch)
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        for case in SEED11_CASES[36:]:
+            for field in ("gf2", "rational"):
+                graded_betti(case, field)
+        runs.append(list(calls))
+    assert runs[0] and runs[1] == runs[0]
+
+
+def test_collapse_memo_holds_at_most_its_bound():
+    size = betti.COLLAPSE_MEMO_SIZE
+    # more block tuples than the bound, each a new key: the third block
+    # reaches past the union of the other two from k = 1 on
+    for k in range(size + 16):
+        blocks = [0b011, 0b110, k << 3 | 0b101]
+        dims = homology_dims(reader_faces(blocks), "gf2")
+        assert _nerve_homology(blocks, "gf2") == [(i, v) for i, v in enumerate(dims) if v], k
+        assert betti._collapse.cache_info().currsize <= size
+    assert betti._collapse.cache_info().currsize == size
 
 
 def assert_entries_are_critical_labels(table, q, s):

@@ -726,6 +726,42 @@ def test_minimal_only_document_is_the_full_one_without_all(tmp_path, capsys, nam
             assert text == json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
+# SHA-256 of the q = 5 square's whole relations document as
+# `all_relations(square, limit=16).to_dict()` gives it, written by
+# `json.dumps(..., indent=2, sort_keys=True)` with a newline: 51,185,898
+# bytes, which take about 590 MB to build that way
+Q5_RELATIONS_DIGEST = "354969f52f67e66139a841a50fec658bbd551cd2903a8f876bc600e8d67b7868"
+
+
+@pytest.mark.parametrize("name", ["q4-square", "q5-square", "random"])
+def test_relations_document_is_the_built_one(tmp_path, capsys, name):
+    # "all" is streamed a generator at a time; its bytes are those of the
+    # document built whole from `all_relations`
+    import hashlib
+
+    from morseres.extremal import power_generators, single_relation
+    from morseres.relations import all_relations
+    from morseres.sampling import random_ideals
+
+    if name == "random":
+        ideal = list(random_ideals(3, q=4, s=3, seed=5))[2].power(2).minimalize()
+    else:
+        ideal = power_generators(int(name[1]), single_relation(3), 2)
+    path, out = tmp_path / "ideal.json", tmp_path / "relations.json"
+    ideal.save(path)
+    code, text = run(capsys, "relations", "--ideal", str(path), "--limit", "16", "--out", str(out))
+    assert (code, text) == (0, "")
+    if name == "q5-square":
+        digest = hashlib.sha256()
+        with open(out, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
+        assert digest.hexdigest() == Q5_RELATIONS_DIGEST
+    else:
+        document = all_relations(ideal, limit=16).to_dict()
+        assert out.read_text() == json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
 def test_relations_limit_above_16_exits_2(tmp_path, capsys):
     path, out = tmp_path / "xy.json", tmp_path / "relations.json"
     path.write_text(json.dumps({"schema": 1, "variables": ["x", "y"], "generators": ["x", "y"]}))

@@ -12,6 +12,7 @@ from morseres.morse import (
     Matching,
     MatchingSpec,
     _checked_up,
+    _containment_table,
     _critical_cells_l2,
     _pivot_faces,
     _pivot_tables,
@@ -591,6 +592,31 @@ def groups_by_pivot_tables(faces, spec):
         if g := (lo[f & low] & hi[f >> h & high]).bit_length():
             groups.setdefault(spec.order[g - 1], set()).add(f)
     return groups
+
+
+def containment_table_per_bit(parts, width):
+    """Entry x has bit i set when parts[i] lies in x: each part marks its
+    own entry, and then each bit b in turn passes every entry without b
+    on to the entry with it, one pass of 2^width entries per bit."""
+    table = [0] * (1 << width)
+    for i, part in enumerate(parts):
+        table[part] |= 1 << i
+    for b in range(width):
+        bit = 1 << b
+        table = [t | table[x ^ bit] if x & bit else t for x, t in enumerate(table)]
+    return table
+
+
+def test_containment_table_equals_the_per_bit_transform():
+    rng = random.Random(5)
+    assert _containment_table([], 0) == [0]
+    assert _containment_table([0, 0], 0) == [0b11]
+    for width in range(11):
+        assert _containment_table([], width) == [0] * (1 << width)
+        for count in (1, 3, 12, 40):
+            parts = [rng.getrandbits(width) for _ in range(count)]
+            table = _containment_table(parts, width)
+            assert table == containment_table_per_bit(parts, width), (width, parts)
 
 
 @pytest.mark.parametrize("cx", [taylor(5), l2(4)], ids=["taylor5", "l2_4"])

@@ -32,9 +32,10 @@ def test_public_surface_is_pinned():
     assert sorted(morseres.__all__) == PUBLIC_NAMES
 
 
-def test_only_l2_and_the_random_draws_are_memoized():
-    # results live with their caller; `l2` shares one face list and
-    # `report` shares its random draws between two suites
+def test_only_l2_the_random_draws_and_the_nerve_collapse_are_memoized():
+    # results live with their caller; `l2` shares one face list, `report`
+    # shares its random draws between two suites, and the Betti oracle
+    # shares the field-free collapse of each block tuple
     import importlib
     import pkgutil
 
@@ -46,7 +47,11 @@ def test_only_l2_and_the_random_draws_are_memoized():
             cached.update(
                 f"{m.__module__}.{m.__qualname__}" for m in members if hasattr(m, "cache_info")
             )
-    assert cached == {"morseres.complexes.l2", "morseres.cli._random_ideals"}
+    assert cached == {
+        "morseres.complexes.l2", "morseres.cli._random_ideals", "morseres.betti._collapse"
+    }
+    # the collapse memo is bounded by its module constant
+    assert morseres.betti._collapse.cache_info().maxsize == morseres.betti.COLLAPSE_MEMO_SIZE
 
 
 def test_star_import_binds_no_submodule():
